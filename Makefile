@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze typecheck check trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke loadgen bench bench-smoke bench-pytest bench-json smoke paper report examples clean
+.PHONY: install test lint analyze typecheck check trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke loadgen bench bench-smoke perfbench-smoke bench-pytest bench-json smoke paper report examples clean
 
 install:
 	pip install -e .
@@ -97,8 +97,8 @@ loadgen:
 # + types + tier-1 tests + the trace schema smoke + the service
 # differential smoke + the columnar bench schema smoke + the live
 # telemetry endpoint smoke + the live-adversary sentinel smoke + the
-# head-to-head arena smoke.
-check: lint analyze typecheck test trace-smoke serve-smoke bench-smoke metrics-smoke sentinel-smoke arena-smoke
+# head-to-head arena smoke + the live-path benchmark's tiny shapes.
+check: lint analyze typecheck test trace-smoke serve-smoke bench-smoke metrics-smoke sentinel-smoke arena-smoke perfbench-smoke
 
 # Fast perf baseline: times the scaling workload on both auction engines
 # and refreshes BENCH_RIT.json (the committed perf trajectory).
@@ -110,6 +110,11 @@ bench:
 # fields) without touching the committed BENCH_RIT.json.
 bench-smoke:
 	PYTHONPATH=src $(PY) -m repro bench --smoke --out /tmp/rit_bench_smoke.json
+
+# CI gate (~12s): the live-path benchmark (perfbench/) on tiny growth,
+# churn and paced shapes, with its replay differential and ledger checks.
+perfbench-smoke:
+	$(PY) -m pytest perfbench/tests -q
 
 # Full pytest-benchmark sweep over benchmarks/.
 bench-pytest:

@@ -82,7 +82,7 @@ def tree_payments(
         included — callers prune if they wish).
     """
     if tracer is not None and tracer.enabled:
-        num_nodes = len(tree.bfs_order())
+        num_nodes = len(tree)
         with tracer.span("payments", nodes=num_nodes, decay=decay):
             tracer.count("tree_payment_nodes", num_nodes)
             return _tree_payments_impl(tree, auction_payments, task_types, decay)

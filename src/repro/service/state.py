@@ -21,11 +21,22 @@ Admission rules (all refusals are counted upstream, never silent):
 * a withdrawal removes the user's ask and grafts their children (both
   joined subtrees and still-pending referrals) onto the withdrawn user's
   parent, preserving everyone else's solicitation chain.
+
+Cost and ordering.  A parent→children index (joined children by parent,
+pending referrals by referrer; ROOT left out) makes a withdrawal graft
+cost O(children + pending referrals of the withdrawn user), independent
+of the population.  The graft rewrites existing ``_parents`` /
+``_pending`` values in place, so dict key order — admission order — never
+changes, and only ``_parents`` key order sets the snapshot's children
+order: :meth:`ServiceState.snapshot_tree` builds from ``_parents``, never
+from the index, whose per-parent order would put a grafted child after
+the grandparent's younger children and reorder the BFS (and with it the
+payment sums).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.core.types import Ask, Job
 from repro.service.events import (
@@ -52,6 +63,11 @@ class ServiceState:
         self._parents: Dict[int, int] = {}
         #: child → referrer for referred users who have not joined yet.
         self._pending: Dict[int, int] = {}
+        #: Inverse indexes (ROOT excluded) so a graft touches only the
+        #: withdrawn user's own children: parent → joined children, and
+        #: referrer → pending referrals.  Never used to order snapshots.
+        self._children: Dict[int, Set[int]] = {}
+        self._referred: Dict[int, Set[int]] = {}
 
     # ------------------------------------------------------------------ #
     # Event application
@@ -76,7 +92,12 @@ class ServiceState:
         # The referrer may have withdrawn since the referral was recorded;
         # withdrawal grafting rewrites pending entries, so a stale parent
         # here means corruption, not a race — guard anyway.
-        self._parents[uid] = parent if parent == ROOT or parent in self._asks else ROOT
+        if parent != ROOT and parent not in self._asks:
+            parent = ROOT
+        self._parents[uid] = parent
+        if parent != ROOT:
+            _discard(self._referred, parent, uid)
+            self._children.setdefault(parent, set()).add(uid)
         return None
 
     def _apply_referral(self, event: ReferralEdge) -> Optional[str]:
@@ -88,21 +109,29 @@ class ServiceState:
         if parent != ROOT and parent not in self._asks:
             return f"referrer {parent} has not joined"
         self._pending[child] = parent
+        if parent != ROOT:
+            self._referred.setdefault(parent, set()).add(child)
         return None
 
     def _apply_withdrawal(self, event: Withdrawal) -> Optional[str]:
         uid = event.user_id
         if uid not in self._asks:
             return f"user {uid} is not an active participant"
-        grandparent = self._parents[uid]
         del self._asks[uid]
-        del self._parents[uid]
-        for child, parent in self._parents.items():
-            if parent == uid:
-                self._parents[child] = grandparent
-        for child, parent in self._pending.items():
-            if parent == uid:
-                self._pending[child] = grandparent
+        grandparent = self._parents.pop(uid)
+        children = self._children.pop(uid, set())
+        referred = self._referred.pop(uid, set())
+        # Assign to existing keys only: admission order is untouched.
+        for child in children:
+            self._parents[child] = grandparent
+        for child in referred:
+            self._pending[child] = grandparent
+        if grandparent != ROOT:
+            _discard(self._children, grandparent, uid)
+            if children:
+                self._children.setdefault(grandparent, set()).update(children)
+            if referred:
+                self._referred.setdefault(grandparent, set()).update(referred)
         return None
 
     # ------------------------------------------------------------------ #
@@ -124,3 +153,11 @@ class ServiceState:
     @property
     def num_pending_referrals(self) -> int:
         return len(self._pending)
+
+
+def _discard(index: Dict[int, Set[int]], key: int, member: int) -> None:
+    """Remove ``member`` from ``index[key]``, dropping the key once empty."""
+    members = index[key]
+    members.discard(member)
+    if not members:
+        del index[key]
