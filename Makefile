@@ -8,7 +8,7 @@ install:
 	pip install -e .
 
 test:
-	$(PY) -m pytest tests/
+	PYTHONPATH=src $(PY) -m pytest tests/
 
 # Static analysis: the RIT domain linter always runs; ruff and mypy run
 # where installed (optional dev dependencies) and are skipped otherwise.
@@ -118,22 +118,22 @@ perfbench-smoke:
 
 # Full pytest-benchmark sweep over benchmarks/.
 bench-pytest:
-	$(PY) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only
 
 bench-json:
-	$(PY) -m pytest benchmarks/ --benchmark-only --benchmark-json=bench_results.json
+	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only --benchmark-json=bench_results.json
 
 smoke:
-	RIT_SCALE=smoke $(PY) -m pytest tests/ benchmarks/ --benchmark-only -q
+	RIT_SCALE=smoke PYTHONPATH=src $(PY) -m pytest tests/ benchmarks/ --benchmark-only -q
 
 paper:
-	RIT_SCALE=paper $(PY) -m repro report --out paper_scale_report.md
+	RIT_SCALE=paper PYTHONPATH=src $(PY) -m repro report --out paper_scale_report.md
 
 report:
-	$(PY) -m repro report --out report.md
+	PYTHONPATH=src $(PY) -m repro report --out report.md
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PY) $$f; echo; done
+	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src $(PY) $$f; echo; done
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache .hypothesis

@@ -269,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="sorted",
     )
     p_serve.add_argument(
-        "--no-shard", action="store_true",
-        help="run epochs unsharded (single RIT.run per epoch)",
-    )
-    p_serve.add_argument(
         "--ledger", default=None,
         help="directory for the persistent JSONL outcome ledger",
     )
@@ -341,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=["sorted", "reference", "columnar"],
         default="sorted",
     )
-    p_load.add_argument("--no-shard", action="store_true")
     p_load.add_argument(
         "--min-events", type=int, default=None,
         help="refuse to measure a stream smaller than this "
@@ -820,7 +815,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_size=args.queue,
         epoch_max_events=epoch_events,
         epoch_max_ticks=epoch_ticks,
-        shard_workers=not args.no_shard,
     )
     mechanism_params = {
         "engine": args.engine,
@@ -981,7 +975,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import validate_bench_schema, write_bench
+    from repro.devtools.bench import report_bench_merge
     from repro.service.loadgen import run_service_bench
 
     min_events = args.min_events
@@ -997,7 +991,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         queue_size=args.queue,
         withdraw_fraction=args.withdraw_fraction,
         engine=args.engine,
-        shard_workers=not args.no_shard,
         min_events=min_events,
         graph=args.graph,
         attack=args.attack,
@@ -1039,47 +1032,15 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                  f"(+{entry['epochs_to_detect']})")
               + f", {entry['alerts_total']} alert(s)")
     if args.bench:
-        try:
-            with open(args.out, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except FileNotFoundError:
-            doc = {}
-        doc["service"] = section
-        doc["service_slo"] = slo
+        sections = {"service": section, "service_slo": slo}
         if sentinel_section is not None:
-            doc["sentinel"] = sentinel_section
-        if "schema_version" in doc:
-            errors = validate_bench_schema(doc)
-        else:
-            # Fresh doc without the scaling-bench envelope: still gate the
-            # sections this command writes.
-            from repro.devtools.bench import (
-                _validate_sentinel_section,
-                _validate_service_section,
-                _validate_service_slo_section,
-            )
-
-            errors = [
-                *_validate_service_section(section),
-                *_validate_service_slo_section(slo),
-            ]
-            if sentinel_section is not None:
-                errors.extend(_validate_sentinel_section(sentinel_section))
-        if errors:
-            print(f"refusing to write {args.out}: merged doc is invalid:")
-            for error in errors:
-                print(f"  {error}")
-            return 1
-        write_bench(doc, args.out)
-        merged = "service + service_slo" + (
-            " + sentinel" if sentinel_section is not None else ""
-        )
-        print(f"{merged} sections merged -> {args.out}")
+            sections["sentinel"] = sentinel_section
+        return report_bench_merge(args.out, sections)
     return 0
 
 
 def _cmd_sentinel(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import validate_bench_schema, write_bench
+    from repro.devtools.bench import report_bench_merge
     from repro.sentinel.harness import (
         DEFAULT_DETECTION_BUDGET,
         render_sentinel_report,
@@ -1099,25 +1060,7 @@ def _cmd_sentinel(args: argparse.Namespace) -> int:
             print(f"  {problem}")
         return 1
     if args.bench:
-        try:
-            with open(args.out, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except FileNotFoundError:
-            doc = {}
-        doc["sentinel"] = section
-        if "schema_version" in doc:
-            errors = validate_bench_schema(doc)
-        else:
-            from repro.devtools.bench import _validate_sentinel_section
-
-            errors = _validate_sentinel_section(section)
-        if errors:
-            print(f"refusing to write {args.out}: merged doc is invalid:")
-            for error in errors:
-                print(f"  {error}")
-            return 1
-        write_bench(doc, args.out)
-        print(f"sentinel section merged -> {args.out}")
+        return report_bench_merge(args.out, {"sentinel": section})
     return 0
 
 
@@ -1130,7 +1073,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
         render_arena_report,
         run_arena_report,
     )
-    from repro.devtools.bench import validate_bench_schema, write_bench
+    from repro.devtools.bench import report_bench_merge
 
     config = ARENA_SMOKE_PRESET if args.smoke else ARENA_BENCH_PRESET
     overrides = {
@@ -1160,25 +1103,7 @@ def _cmd_arena(args: argparse.Namespace) -> int:
             print(f"  {problem}")
         return 1
     if args.bench:
-        try:
-            with open(args.out, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except FileNotFoundError:
-            doc = {}
-        doc["arena"] = section
-        if "schema_version" in doc:
-            errors = validate_bench_schema(doc)
-        else:
-            from repro.devtools.bench import _validate_arena_section
-
-            errors = _validate_arena_section(section)
-        if errors:
-            print(f"refusing to write {args.out}: merged doc is invalid:")
-            for error in errors:
-                print(f"  {error}")
-            return 1
-        write_bench(doc, args.out)
-        print(f"arena section merged -> {args.out}")
+        return report_bench_merge(args.out, {"arena": section})
     return 0
 
 

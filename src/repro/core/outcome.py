@@ -58,6 +58,11 @@ class TypeShardResult:
         type's participants.
     rounds:
         Per-round diagnostics, in execution order.
+    stage_seconds:
+        This shard's per-stage engine seconds (empty for the reference
+        engine); :meth:`RIT.join_shards` sums them into
+        :attr:`MechanismOutcome.stage_timings`.  Timings are measurements,
+        not results, so they take no part in equality.
     """
 
     task_type: int
@@ -65,6 +70,7 @@ class TypeShardResult:
     allocation: Dict[int, int]
     auction_payments: Dict[int, float]
     rounds: Tuple[RoundRecord, ...]
+    stage_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,8 +106,9 @@ class MechanismOutcome:
     stage_timings:
         Per-stage engine seconds
         (``sample`` / ``consensus`` / ``select`` / ``consume``), aggregated
-        over all CRA rounds.  This is a *view derived from the trace
-        clock*: the totals accumulate on
+        over all CRA rounds: the sum of the shards'
+        :attr:`TypeShardResult.stage_seconds`.  This is a *view derived
+        from the trace clock*: each shard accumulates on its own
         :class:`repro.obs.StageTimers` (driven by the tracer's clock) and,
         when a recording tracer is attached, the same totals are emitted
         into the event stream as ``stage_seconds/<stage>`` counters — the

@@ -75,7 +75,7 @@ stays at benchmark speed.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,6 +94,7 @@ from repro.core.outcome import MechanismOutcome, RoundRecord, TypeShardResult
 from repro.core.payments import DEFAULT_DECAY, tree_payments
 from repro.core.rng import SeedLike, as_generator, spawn_seeds
 from repro.core.types import Ask, Job
+from repro.obs.timers import STAGE_NAMES
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.tree.incentive_tree import IncentiveTree
 
@@ -109,6 +110,13 @@ __all__ = [
 BUDGET_POLICIES = ("lemma", "paper", "until-complete")
 
 ENGINES = ("sorted", "reference", "columnar")
+
+#: Engines that resolve rounds against a presorted pool and report stages.
+_PRESORTED_ENGINES = ("sorted", "columnar")
+
+#: One :meth:`RIT.run_type_shard` call's positional arguments:
+#: ``(tau, m_i, pool, k_max, num_types, rng)``.
+ShardTask = Tuple[int, int, Optional[SortedTypePool], int, int, SeedLike]
 
 #: How randomness is threaded through the per-type auction loops.
 #:
@@ -278,7 +286,6 @@ class RIT(Mechanism):
         *,
         columnar_store: Optional[ColumnarStore] = None,
     ) -> MechanismOutcome:
-        gen = as_generator(rng)
         store: Optional[ColumnarStore] = None
         if self.engine == "columnar":
             # Store construction performs the full profile validation; a
@@ -325,45 +332,21 @@ class RIT(Mechanism):
                 )
         t_start = clock()
 
-        timers = (
-            StageTimers(clock=clock)
-            if self.engine in ("sorted", "columnar")
-            else None
-        )
         shards: List[TypeShardResult] = []
-
         if asks:
+            pool_of: Callable[[int], Optional[SortedTypePool]]
             if store is not None:
-                k_max = self.k_max_override or store.k_max
+                k_max, pool_of = store.k_max, store.pool
             else:
                 uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
-                k_max = self.k_max_override or int(cap_arr.max())
-                by_type = pools_from_arrays(
+                k_max = int(cap_arr.max())
+                pool_of = pools_from_arrays(
                     uid_arr, type_arr, val_arr, cap_arr
-                )
-            per_type = self.rng_policy == "per-type"
-            type_seeds = spawn_seeds(gen, job.num_types) if per_type else None
-            for tau in job.types():
-                m_i = job.tasks_of(tau)
-                if m_i == 0:
-                    continue
-                shard_gen = (
-                    as_generator(type_seeds[tau]) if type_seeds is not None else gen
-                )
-                group = (
-                    store.pool(tau) if store is not None else by_type.get(tau)
-                )
-                shards.append(
-                    self.run_type_shard(
-                        tau,
-                        m_i,
-                        group,
-                        k_max,
-                        job.num_types,
-                        shard_gen,
-                        timers=timers,
-                    )
-                )
+                ).get
+            shards = [
+                self.run_type_shard(*task)
+                for task in self.shard_tasks(job, pool_of, k_max, rng)
+            ]
 
         t_auction = clock()
 
@@ -374,7 +357,6 @@ class RIT(Mechanism):
             shards,
             started_at=t_start,
             auction_ended_at=t_auction,
-            timers=timers,
             columnar_store=store,
         )
         if not final.completed and self.raise_on_failure:
@@ -388,11 +370,10 @@ class RIT(Mechanism):
                 f"round budget (policy={self.round_budget!r})"
             )
         if tracing:
-            if timers is not None:
-                for stage, seconds in timers.as_dict().items():
-                    tracer.count(
-                        "stage_seconds/" + stage, seconds, unit="seconds"
-                    )
+            for stage, seconds in final.stage_timings.items():
+                tracer.count(
+                    "stage_seconds/" + stage, seconds, unit="seconds"
+                )
             tracer.end(mech_sid)
             if owns_run:
                 tracer.end(run_sid)
@@ -402,6 +383,39 @@ class RIT(Mechanism):
     # Sharded execution (auction phase decomposed per task type)
     # ------------------------------------------------------------------ #
 
+    def shard_tasks(
+        self,
+        job: Job,
+        pool_of: Callable[[int], Optional[SortedTypePool]],
+        k_max: int,
+        rng: SeedLike,
+    ) -> List[ShardTask]:
+        """The epoch's auction phase as :meth:`run_type_shard` argument tuples.
+
+        One task per type with ``m_i > 0``, in ascending type order;
+        ``pool_of`` maps a type to its pool (``ColumnarStore.pool`` or a
+        ``pools_from_arrays(...)`` dict's ``get``) and ``k_max`` is the
+        profile's largest claimed capacity (the ``k_max`` override wins).
+        Under ``rng_policy="per-type"`` each task carries its own spawned
+        ``SeedSequence``, so the tasks may run in any order or
+        concurrently; under ``"stream"`` they share one generator and
+        must run in order.  :meth:`run` and the epoch service both execute
+        exactly these tasks, then :meth:`join_shards` the results.
+        """
+        gen = as_generator(rng)
+        k_max = self.k_max_override or k_max
+        type_seeds: Sequence[SeedLike] = (
+            spawn_seeds(gen, job.num_types)
+            if self.rng_policy == "per-type"
+            else [gen] * job.num_types
+        )
+        return [
+            (tau, m_i, pool_of(tau), k_max, job.num_types, type_seeds[tau])
+            for tau in job.types()
+            for m_i in (job.tasks_of(tau),)
+            if m_i > 0
+        ]
+
     def run_type_shard(
         self,
         tau: int,
@@ -410,8 +424,6 @@ class RIT(Mechanism):
         k_max: int,
         num_types: int,
         rng: SeedLike,
-        *,
-        timers: Optional[StageTimers] = None,
     ) -> TypeShardResult:
         """Run the multi-round CRA loop for one task type (Alg. 3 lines 8-21).
 
@@ -420,9 +432,11 @@ class RIT(Mechanism):
         :class:`~repro.core.outcome.TypeShardResult` instead of mutating
         shared run state, so shards may execute concurrently (each with an
         independent ``rng`` stream — see :data:`RNG_POLICIES`) and be
-        merged afterwards by :meth:`join_shards`.  ``group`` may be None
-        when no user bids for the type (the shard is then trivially
-        uncovered unless ``m_i`` is 0, which callers filter out).
+        merged afterwards by :meth:`join_shards`.  The presorted engines
+        time their stages on a private :class:`StageTimers` and return the
+        totals as ``stage_seconds``.  ``group`` may be None when no user
+        bids for the type (the shard is then trivially uncovered unless
+        ``m_i`` is 0, which :meth:`shard_tasks` filters out).
         """
         gen = as_generator(rng)
         allocation: Dict[int, int] = {}
@@ -431,7 +445,8 @@ class RIT(Mechanism):
         budget = self.budget_for(m_i, k_max, num_types)
         # Both presorted engines resolve rounds against the pool's stable
         # value order; "columnar" merely got the order from the epoch store.
-        use_presorted = self.engine in ("sorted", "columnar")
+        use_presorted = self.engine in _PRESORTED_ENGINES
+        timers = StageTimers(clock=self.tracer.clock) if use_presorted else None
         tracer = self.tracer
         tracing = tracer.enabled
         cra_sid = -1
@@ -469,7 +484,6 @@ class RIT(Mechanism):
                     sample_rate_scale=self.sample_rate_scale,
                     tracer=tracer,
                 )
-                t_consume = timers.clock() if timers is not None else 0.0
                 winner_uids = owners[result.winners]
             rounds_log.append(
                 RoundRecord(
@@ -482,22 +496,16 @@ class RIT(Mechanism):
                     overflow_trimmed=result.overflow_trimmed,
                 )
             )
+            for uid in winner_uids.tolist():
+                allocation[uid] = allocation.get(uid, 0) + 1
+                auction_payments[uid] = (
+                    auction_payments.get(uid, 0.0) + result.price
+                )
             if use_presorted:
-                for uid in winner_uids.tolist():
-                    allocation[uid] = allocation.get(uid, 0) + 1
-                    auction_payments[uid] = (
-                        auction_payments.get(uid, 0.0) + result.price
-                    )
                 group.consume_positions(winner_positions)
-                q -= result.num_winners
             else:
-                for uid in winner_uids.tolist():
-                    allocation[uid] = allocation.get(uid, 0) + 1
-                    auction_payments[uid] = (
-                        auction_payments.get(uid, 0.0) + result.price
-                    )
                 group.consume_many(winner_uids)
-                q -= result.num_winners
+            q -= result.num_winners
             if timers is not None:
                 timers.consume += timers.clock() - t_consume
             if tracing:
@@ -524,6 +532,7 @@ class RIT(Mechanism):
             allocation=allocation,
             auction_payments=auction_payments,
             rounds=tuple(rounds_log),
+            stage_seconds=timers.as_dict() if timers is not None else {},
         )
 
     def join_shards(
@@ -535,7 +544,6 @@ class RIT(Mechanism):
         *,
         started_at: float = 0.0,
         auction_ended_at: Optional[float] = None,
-        timers: Optional[StageTimers] = None,
         columnar_store: Optional[ColumnarStore] = None,
     ) -> MechanismOutcome:
         """Assemble a full :class:`MechanismOutcome` from per-type shards.
@@ -565,6 +573,12 @@ class RIT(Mechanism):
             auction_payments.update(shard.auction_payments)
             rounds_log.extend(shard.rounds)
         covered_types = {s.task_type for s in shards if s.covered}
+        stage_timings: Dict[str, float] = {}
+        if self.engine in _PRESORTED_ENGINES:
+            stage_timings = {
+                stage: sum((s.stage_seconds.get(stage, 0.0) for s in shards), 0.0)
+                for stage in STAGE_NAMES
+            }
         completed = all(
             job.tasks_of(tau) == 0 or tau in covered_types
             for tau in job.types()
@@ -577,7 +591,7 @@ class RIT(Mechanism):
             completed=completed,
             rounds=rounds_log,
             elapsed_auction=end - started_at,
-            stage_timings=timers.as_dict() if timers is not None else {},
+            stage_timings=stage_timings,
         )
         if not completed:
             # Algorithm 3 line 27: void everything.
@@ -636,12 +650,6 @@ class RIT(Mechanism):
                 )
 
 
-#: Backwards-compatible name for the per-type pool (the sorted engine's
-#: pool is a strict superset of the old ``_TypeGroup``: ``unit_asks`` /
-#: ``consume`` / ``total_remaining`` behave identically).
-_TypeGroup = SortedTypePool
-
-
 # One O(N) flatten per run, timed inside the caller's 'sample' stage.
 def profile_arrays(  # rit: noqa[RIT013]
     asks: Mapping[int, Ask],
@@ -674,15 +682,3 @@ def pools_from_arrays(
         for tau in np.unique(type_arr)
         for sel in (np.flatnonzero(type_arr == tau),)
     }
-
-
-def _group_by_type(
-    asks: Mapping[int, Ask], num_types: int
-) -> Dict[int, SortedTypePool]:
-    """Split the ask profile into per-type presorted pools."""
-    return pools_from_arrays(*profile_arrays(asks))
-
-
-# Historical private aliases (pre-service-PR call sites and tests).
-_profile_arrays = profile_arrays
-_pools_from_arrays = pools_from_arrays

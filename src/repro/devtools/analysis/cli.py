@@ -215,9 +215,7 @@ def run(args: argparse.Namespace) -> int:
 
 def _run_bench(paths: List[str], out: str) -> int:
     """``--bench``: measure the analyzer and merge into the bench doc."""
-    import json
-
-    from repro.devtools.bench import validate_bench_schema, write_bench
+    from repro.devtools.bench import report_bench_merge
 
     section = bench_section(paths)
     print(
@@ -229,21 +227,7 @@ def _run_bench(paths: List[str], out: str) -> int:
         f"{section['warm_cache_seconds']:.3f}s "
         f"({section['warm_files_parsed']} file(s) re-parsed warm)"
     )
-    try:
-        with open(out, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        doc = {}
-    doc["analysis"] = section
-    errors = validate_bench_schema(doc) if "schema_version" in doc else []
-    if errors:
-        print(f"refusing to write {out}: merged doc is invalid:")
-        for error in errors:
-            print(f"  {error}")
-        return 1
-    write_bench(doc, out)
-    print(f"analysis section merged -> {out}")
-    return 0
+    return report_bench_merge(out, {"analysis": section})
 
 
 def bench_section(paths: Optional[List[str]] = None) -> dict:

@@ -30,7 +30,8 @@ the top-level 2k hero workload comparable across PRs.
 
 :func:`validate_bench_schema` is the committed document's schema check,
 exercised by the tier-1 suite (``tests/devtools/test_bench.py``) and the
-``make bench-smoke`` gate (``rit bench --smoke``).
+``make bench-smoke`` gate (``rit bench --smoke``); every ``--bench``
+section merge goes through :func:`merge_bench_sections`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import json
 import os
 import platform
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -55,7 +56,10 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "PRE_PR_BASELINE",
     "SCENARIO_PRESETS",
+    "SECTION_VALIDATORS",
     "latency_summary",
+    "merge_bench_sections",
+    "report_bench_merge",
     "run_scaling_bench",
     "run_scenario_bench",
     "validate_bench_schema",
@@ -361,19 +365,50 @@ def validate_bench_schema(doc: Any) -> List[str]:
     engines = _require("engines", dict)
     if engines is not None:
         errors.extend(_validate_engines_block(engines, "engines"))
-    if "scenarios" in doc:
-        errors.extend(_validate_scenarios_section(doc["scenarios"]))
-    if "service" in doc:
-        errors.extend(_validate_service_section(doc["service"]))
-    if "service_slo" in doc:
-        errors.extend(_validate_service_slo_section(doc["service_slo"]))
-    if "analysis" in doc:
-        errors.extend(_validate_analysis_section(doc["analysis"]))
-    if "sentinel" in doc:
-        errors.extend(_validate_sentinel_section(doc["sentinel"]))
-    if "arena" in doc:
-        errors.extend(_validate_arena_section(doc["arena"]))
+    for name, validate in SECTION_VALIDATORS.items():
+        if name in doc:
+            errors.extend(validate(doc[name]))
     return errors
+
+
+def merge_bench_sections(path: str, sections: Mapping[str, Any]) -> List[str]:
+    """Merge ``sections`` into the bench document at ``path``.
+
+    A document carrying the scaling-bench envelope (``schema_version``)
+    is validated whole; a fresh or envelope-less one has each merged
+    section validated.  Returns the violations and writes nothing when
+    there are any.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except FileNotFoundError:
+        doc = {}
+    doc.update(sections)
+    if "schema_version" in doc:
+        errors = validate_bench_schema(doc)
+    else:
+        errors = [
+            error
+            for name, section in sections.items()
+            for error in SECTION_VALIDATORS[name](section)
+        ]
+    if not errors:
+        write_bench(doc, path)
+    return errors
+
+
+def report_bench_merge(path: str, sections: Mapping[str, Any]) -> int:
+    """:func:`merge_bench_sections` for a CLI command: print, return exit code."""
+    errors = merge_bench_sections(path, sections)
+    if errors:
+        print(f"refusing to write {path}: merged doc is invalid:")
+        for error in errors:
+            print(f"  {error}")
+        return 1
+    noun = "section" if len(sections) == 1 else "sections"
+    print(f"{' + '.join(sections)} {noun} merged -> {path}")
+    return 0
 
 
 def _validate_engines_block(engines: Any, where: str) -> List[str]:
@@ -867,3 +902,14 @@ def _validate_arena_section(section: Any) -> List[str]:
                 "or tie on sybil gain in the committed scorecard"
             )
     return errors
+
+
+#: Validator of each optional bench-document section, by section name.
+SECTION_VALIDATORS: Dict[str, Callable[[Any], List[str]]] = {
+    "scenarios": _validate_scenarios_section,
+    "service": _validate_service_section,
+    "service_slo": _validate_service_slo_section,
+    "analysis": _validate_analysis_section,
+    "sentinel": _validate_sentinel_section,
+    "arena": _validate_arena_section,
+}

@@ -168,7 +168,6 @@ def run_service_bench(
     queue_size: int = 4096,
     withdraw_fraction: float = 0.02,
     engine: str = "sorted",
-    shard_workers: bool = True,
     min_events: int = 0,
     graph: str = "twitter",
     attack: Optional[str] = None,
@@ -232,7 +231,6 @@ def run_service_bench(
         queue_size=queue_size,
         epoch_max_events=epoch_max_events,
         epoch_max_ticks=epoch_max_ticks,
-        shard_workers=shard_workers,
     )
     service = MechanismService(
         mechanism,
@@ -260,7 +258,6 @@ def run_service_bench(
             "queue_size": queue_size,
             "withdraw_fraction": withdraw_fraction,
             "engine": engine,
-            "shard_workers": shard_workers,
             "graph": graph,
         },
         "events": {

@@ -1,15 +1,16 @@
 """Per-type sharded auction workers and the epoch join stage.
 
 CRA (Algorithm 1) runs independently per task type, so an epoch's auction
-phase decomposes into one shard per type.  Each shard executes
+phase decomposes into one shard per type.  The shards are the tasks of
+:meth:`repro.core.rit.RIT.shard_tasks` — the same tasks ``RIT.run``
+executes in order — and each runs
 :meth:`repro.core.rit.RIT.run_type_shard` on a thread-pool worker with
 
-* its **own spawned RNG stream** — the epoch seed spawns one child
-  ``SeedSequence`` per type, exactly as ``RIT.run`` does under
-  ``rng_policy="per-type"``, so concurrent shard scheduling cannot
-  reorder random draws;
-* its **own tracer sink and stage timers** — no shared mutable state
-  crosses threads mid-epoch.
+* its **own spawned RNG stream** — under ``rng_policy="per-type"`` every
+  task carries one child ``SeedSequence`` of the epoch seed, so
+  concurrent shard scheduling cannot reorder random draws;
+* its **own tracer sink** — no shared mutable state crosses threads
+  mid-epoch.
 
 The join stage then absorbs shard traces in ascending type order, merges
 the shards with :meth:`repro.core.rit.RIT.join_shards` (tree payments,
@@ -25,15 +26,14 @@ from __future__ import annotations
 import asyncio
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.columnar import ColumnarStore
-from repro.core.engine import SortedTypePool, StageTimers
+from repro.core.engine import SortedTypePool
 from repro.core.outcome import MechanismOutcome, TypeShardResult
-from repro.core.rit import RIT, pools_from_arrays, profile_arrays
-from repro.core.rng import as_generator, spawn_seeds
+from repro.core.rit import RIT, ShardTask, pools_from_arrays, profile_arrays
 from repro.core.types import Job
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.service.epochs import EpochSnapshot
@@ -43,15 +43,7 @@ __all__ = ["run_epoch"]
 
 
 def _run_shard(
-    mechanism: RIT,
-    tau: int,
-    m_i: int,
-    pool: Optional[SortedTypePool],
-    k_max: int,
-    num_types: int,
-    seed: np.random.SeedSequence,
-    shard_tracer: NullTracer,
-    timers: Optional[StageTimers],
+    mechanism: RIT, task: ShardTask, shard_tracer: NullTracer
 ) -> Tuple[TypeShardResult, float]:
     """Thread-pool body: one type's CRA loop against a private sink.
 
@@ -64,11 +56,9 @@ def _run_shard(
     sid = -1
     t_start = shard_tracer.clock()
     if shard_tracer.enabled:
-        sid = shard_tracer.begin("shard", task_type=int(tau), m_i=m_i)
+        sid = shard_tracer.begin("shard", task_type=int(task[0]), m_i=task[1])
     try:
-        result = shard_mech.run_type_shard(
-            tau, m_i, pool, k_max, num_types, as_generator(seed), timers=timers
-        )
+        result = shard_mech.run_type_shard(*task)
     finally:
         if shard_tracer.enabled:
             shard_tracer.end(sid)
@@ -82,16 +72,13 @@ async def run_epoch(
     seed: np.random.SeedSequence,
     *,
     executor: ThreadPoolExecutor,
-    shard_workers: bool = True,
     telemetry: Optional[ServiceTelemetry] = None,
 ) -> MechanismOutcome:
     """Execute one epoch's auction over a frozen snapshot.
 
-    With ``shard_workers=True`` each task type runs concurrently on the
-    executor; otherwise the whole ``RIT.run`` executes as a single
-    executor job (useful as a sharding-off baseline — outcomes are
-    identical either way because ``rng_policy="per-type"`` decouples the
-    per-type streams).
+    Every task type runs concurrently on the executor; the outcome equals
+    one ``RIT.run`` over the snapshot because ``rng_policy="per-type"``
+    decouples the per-type streams.
     """
     tracer = mechanism.tracer
     tracing = tracer.enabled
@@ -109,28 +96,12 @@ async def run_epoch(
         )
         tracer.count("service_epochs_closed")
     try:
-        if not shard_workers:
-            outcome = await loop.run_in_executor(
-                executor,
-                functools.partial(
-                    mechanism.run, job, snapshot.asks, snapshot.tree, seed
-                ),
-            )
-            return outcome
-
         t_start = clock()
         asks = snapshot.asks
-        gen = as_generator(seed)
-        pending: List[
-            Tuple[
-                int,
-                NullTracer,
-                Optional[StageTimers],
-                "asyncio.Future[Tuple[TypeShardResult, float]]",
-            ]
-        ] = []
         store: Optional[ColumnarStore] = None
+        tasks: List[ShardTask] = []
         if asks:
+            pool_of: Callable[[int], Optional[SortedTypePool]]
             if mechanism.engine == "columnar":
                 # The epoch-scoped store is built once (off the event
                 # loop) and shared read-only across all type shards; each
@@ -145,58 +116,34 @@ async def run_epoch(
                     tracer.count(
                         "columnar_store_bytes", store.nbytes, unit="bytes"
                     )
-                k_max = mechanism.k_max_override or store.k_max
+                k_max, pool_of = store.k_max, store.pool
             else:
                 uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
-                k_max = mechanism.k_max_override or int(cap_arr.max())
-                by_type = pools_from_arrays(
+                k_max = int(cap_arr.max())
+                pool_of = pools_from_arrays(
                     uid_arr, type_arr, val_arr, cap_arr
+                ).get
+            tasks = mechanism.shard_tasks(job, pool_of, k_max, seed)
+
+        pending: List[Tuple[int, NullTracer, "asyncio.Future[Tuple[TypeShardResult, float]]"]] = []
+        for task in tasks:
+            tau = task[0]
+            shard_tracer: NullTracer = NULL_TRACER
+            if tracing:
+                shard_tracer = Tracer(
+                    f"epoch{snapshot.batch.index}-shard{tau}", clock=clock
                 )
-            type_seeds = spawn_seeds(gen, job.num_types)
-            for tau in job.types():
-                m_i = job.tasks_of(tau)
-                if m_i == 0:
-                    continue
-                shard_tracer: NullTracer = NULL_TRACER
-                if tracing:
-                    shard_tracer = Tracer(
-                        f"epoch{snapshot.batch.index}-shard{tau}", clock=clock
-                    )
-                timers = (
-                    StageTimers(clock=clock)
-                    if mechanism.engine in ("sorted", "columnar")
-                    else None
-                )
-                pool = (
-                    store.pool(tau) if store is not None else by_type.get(tau)
-                )
-                future = loop.run_in_executor(
-                    executor,
-                    functools.partial(
-                        _run_shard,
-                        mechanism,
-                        tau,
-                        m_i,
-                        pool,
-                        k_max,
-                        job.num_types,
-                        type_seeds[tau],
-                        shard_tracer,
-                        timers,
-                    ),
-                )
-                pending.append((tau, shard_tracer, timers, future))
+            future = loop.run_in_executor(
+                executor,
+                functools.partial(_run_shard, mechanism, task, shard_tracer),
+            )
+            pending.append((tau, shard_tracer, future))
 
         shards: List[TypeShardResult] = []
-        merged_timers = (
-            StageTimers(clock=clock)
-            if mechanism.engine in ("sorted", "columnar")
-            else None
-        )
         # Await and absorb in ascending type order: shard *execution* is
         # concurrent, but the merged trace and the shard list are built
         # deterministically regardless of completion order.
-        for tau, shard_tracer, timers, future in pending:
+        for tau, shard_tracer, future in pending:
             shard_result, shard_seconds = await future
             shards.append(shard_result)
             if telemetry is not None:
@@ -209,11 +156,6 @@ async def run_epoch(
                 tracer.observe(
                     "shard_run_seconds", shard_seconds, epoch=snapshot.batch.index
                 )
-            if merged_timers is not None and timers is not None:
-                merged_timers.sample += timers.sample
-                merged_timers.consensus += timers.consensus
-                merged_timers.select += timers.select
-                merged_timers.consume += timers.consume
         t_auction = clock()
 
         join_sid = -1
@@ -227,7 +169,6 @@ async def run_epoch(
                 shards,
                 started_at=t_start,
                 auction_ended_at=t_auction,
-                timers=merged_timers,
                 columnar_store=store,
             )
         finally:

@@ -13,7 +13,7 @@ import numpy as np
 from repro.attacks.evaluator import compare_sybil_attack
 from repro.attacks.sybil import SybilAttack, apply_attack
 from repro.core.rit import RIT, pools_from_arrays, profile_arrays
-from repro.core.rng import as_generator, spawn_seeds
+from repro.core.rng import spawn_seeds
 from repro.core.types import Job
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
@@ -36,24 +36,11 @@ def pinned_attack(asks):
 
 
 def run_sharded(mech, job, asks, tree, seed):
-    """Drive the shard/join API exactly as ``run`` derives its seeds."""
-    gen = as_generator(seed)
+    """Drive the shard/join API over the tasks ``run`` executes."""
     uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
-    k_max = int(cap_arr.max())
     by_type = pools_from_arrays(uid_arr, type_arr, val_arr, cap_arr)
-    type_seeds = spawn_seeds(gen, job.num_types)
-    shards = [
-        mech.run_type_shard(
-            tau,
-            job.tasks_of(tau),
-            by_type.get(tau),
-            k_max,
-            job.num_types,
-            as_generator(type_seeds[tau]),
-        )
-        for tau in job.types()
-        if job.tasks_of(tau) > 0
-    ]
+    tasks = mech.shard_tasks(job, by_type.get, int(cap_arr.max()), seed)
+    shards = [mech.run_type_shard(*task) for task in tasks]
     return mech.join_shards(job, asks, tree, shards)
 
 

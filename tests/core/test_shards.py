@@ -1,11 +1,15 @@
 """RNG policies and the shard/join decomposition of ``RIT.run``.
 
-The sharded service path (``run_type_shard`` per type + ``join_shards``)
-must be an exact refactoring of the monolithic ``run`` under
-``rng_policy="per-type"`` — same winners, payments, and round records.
+The sharded service path (``RIT.shard_tasks`` → ``run_type_shard`` per
+task → ``join_shards``) must be an exact refactoring of the monolithic
+``run`` under ``rng_policy="per-type"`` — same winners, payments, and
+round records, whatever order or thread the tasks run on.
 The default ``"stream"`` policy keeps the historical single-generator
 draw order (pinned separately by the golden tests).
 """
+
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
@@ -16,11 +20,12 @@ from repro.core.rit import (
     pools_from_arrays,
     profile_arrays,
 )
-from repro.core.rng import as_generator, spawn_seeds
+from repro.core.rng import as_generator
 from repro.service.ledger import canonical_outcome
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
 from repro.core.types import Job
+from repro.obs.timers import STAGE_NAMES
 
 
 def scenario_inputs(seed=3, users=90, types=3, tasks_per_type=5):
@@ -60,31 +65,22 @@ class TestRngPolicy:
         assert canonical_outcome(outcomes[0]) == canonical_outcome(outcomes[1])
 
 
+def sorted_tasks(mech, job, asks, seed):
+    """``RIT.shard_tasks`` over the profile's sorted per-type pools."""
+    uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
+    pools = pools_from_arrays(uid_arr, type_arr, val_arr, cap_arr)
+    return mech.shard_tasks(job, pools.get, int(cap_arr.max()), seed)
+
+
 class TestShardDecomposition:
     def test_manual_shard_merge_equals_run(self):
         job, asks, tree = scenario_inputs()
         seed = 11
         mech = RIT(rng_policy="per-type", round_budget="until-complete")
         whole = mech.run(job, asks, tree, seed)
-
-        # Re-derive the per-type seeds exactly as run() does, then drive
-        # the shard/join API by hand.
-        gen = as_generator(seed)
-        uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
-        k_max = int(cap_arr.max())
-        by_type = pools_from_arrays(uid_arr, type_arr, val_arr, cap_arr)
-        type_seeds = spawn_seeds(gen, job.num_types)
         shards = [
-            mech.run_type_shard(
-                tau,
-                job.tasks_of(tau),
-                by_type.get(tau),
-                k_max,
-                job.num_types,
-                as_generator(type_seeds[tau]),
-            )
-            for tau in job.types()
-            if job.tasks_of(tau) > 0
+            mech.run_type_shard(*task)
+            for task in sorted_tasks(mech, job, asks, seed)
         ]
         merged = mech.join_shards(job, asks, tree, shards)
         assert canonical_outcome(merged) == canonical_outcome(whole)
@@ -108,3 +104,108 @@ class TestShardDecomposition:
         )
         with pytest.raises(Exception):
             shard.covered = False
+
+
+class TestShardTasks:
+    """The contract both ``RIT.run`` and the epoch service build on."""
+
+    def test_tasks_cover_positive_types_in_order(self):
+        job = Job((4, 0, 3))
+        scenario = paper_scenario(
+            60, job, 5, distribution=UserDistribution(num_types=3)
+        )
+        mech = RIT(rng_policy="per-type")
+        tasks = sorted_tasks(mech, job, scenario.truthful_asks(), 7)
+        assert [(tau, m_i) for tau, m_i, *_ in tasks] == [(0, 4), (2, 3)]
+
+    def test_stream_tasks_share_one_generator(self):
+        job, asks, _ = scenario_inputs()
+        mech = RIT(rng_policy="stream")
+        gen = as_generator(3)
+        tasks = sorted_tasks(mech, job, asks, gen)
+        assert all(task[-1] is gen for task in tasks)
+
+    def test_per_type_tasks_run_in_any_order_and_concurrently(self):
+        job, asks, tree = scenario_inputs()
+        seed = 11
+        for engine in ("sorted", "reference"):
+            mech = RIT(
+                engine=engine,
+                rng_policy="per-type",
+                round_budget="until-complete",
+            )
+            whole = mech.run(job, asks, tree, seed)
+            tasks = sorted_tasks(mech, job, asks, seed)
+            backwards = {
+                task[0]: mech.run_type_shard(*task)
+                for task in reversed(tasks)
+            }
+            reversed_join = mech.join_shards(
+                job, asks, tree, [backwards[tau] for tau, *_ in tasks]
+            )
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [
+                    pool.submit(mech.run_type_shard, *task)
+                    for task in sorted_tasks(mech, job, asks, seed)
+                ]
+                threaded = [future.result() for future in futures]
+            threaded_join = mech.join_shards(job, asks, tree, threaded)
+            expected = canonical_outcome(whole)
+            assert canonical_outcome(reversed_join) == expected
+            assert canonical_outcome(threaded_join) == expected
+
+    def test_k_max_override_wins(self):
+        job, asks, _ = scenario_inputs()
+        mech = RIT(rng_policy="per-type", k_max=99)
+        assert {task[3] for task in sorted_tasks(mech, job, asks, 1)} == {99}
+
+
+class TestStageSeconds:
+    def test_stage_timings_are_the_sum_of_shard_stage_seconds(self):
+        job, asks, tree = scenario_inputs()
+        for engine in ("sorted", "columnar"):
+            mech = RIT(
+                engine=engine,
+                rng_policy="per-type",
+                round_budget="until-complete",
+            )
+            shards = [
+                mech.run_type_shard(*task)
+                for task in sorted_tasks(mech, job, asks, 11)
+            ]
+            for shard in shards:
+                assert tuple(shard.stage_seconds) == STAGE_NAMES
+            outcome = mech.join_shards(job, asks, tree, shards)
+            assert tuple(outcome.stage_timings) == STAGE_NAMES
+            for stage in STAGE_NAMES:
+                assert outcome.stage_timings[stage] == sum(
+                    (shard.stage_seconds[stage] for shard in shards), 0.0
+                )
+            assert tuple(mech.run(job, asks, tree, 11).stage_timings) == (
+                STAGE_NAMES
+            )
+
+    def test_reference_engine_reports_no_stages(self):
+        job, asks, tree = scenario_inputs()
+        mech = RIT(engine="reference", rng_policy="per-type")
+        shards = [
+            mech.run_type_shard(*task)
+            for task in sorted_tasks(mech, job, asks, 11)
+        ]
+        assert all(shard.stage_seconds == {} for shard in shards)
+        assert mech.run(job, asks, tree, 11).stage_timings == {}
+
+    def test_shard_equality_ignores_stage_seconds(self):
+        job, asks, _ = scenario_inputs()
+        mech = RIT(rng_policy="per-type", round_budget="until-complete")
+        first, second = (
+            mech.run_type_shard(*sorted_tasks(mech, job, asks, 11)[0])
+            for _ in range(2)
+        )
+        assert first.stage_seconds != {}
+        retimed = replace(
+            second,
+            stage_seconds={stage: -1.0 for stage in second.stage_seconds},
+        )
+        assert first == retimed
+        assert first != replace(retimed, covered=not retimed.covered)

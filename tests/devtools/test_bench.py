@@ -10,6 +10,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.devtools.bench import (
     BENCH_SCHEMA_VERSION,
     SCENARIO_PRESETS,
+    merge_bench_sections,
     run_scaling_bench,
     run_scenario_bench,
     validate_bench_schema,
@@ -564,3 +565,40 @@ def test_write_bench_round_trips(tmp_path):
     assert json.loads(path.read_text()) == json.loads(
         json.dumps(doc)
     )
+
+
+class TestMergeBenchSections:
+    def test_invalid_section_leaves_fresh_file_unwritten(self, tmp_path):
+        path = tmp_path / "bench.json"
+        broken = dict(valid_analysis_section(), findings_total=7)
+        errors = merge_bench_sections(str(path), {"analysis": broken})
+        assert any("sum" in e for e in errors)
+        assert not path.exists()
+
+    def test_valid_section_written_to_fresh_file(self, tmp_path):
+        path = tmp_path / "bench.json"
+        section = valid_analysis_section()
+        assert merge_bench_sections(str(path), {"analysis": section}) == []
+        assert json.loads(path.read_text()) == {"analysis": section}
+
+    def test_envelope_doc_is_validated_whole(self, tmp_path):
+        path = tmp_path / "bench.json"
+        doc = run_scaling_bench(**TINY)
+        doc["engines"]["sorted"]["seconds"] = "fast"
+        write_bench(doc, str(path))
+        before = path.read_text()
+        errors = merge_bench_sections(
+            str(path), {"analysis": valid_analysis_section()}
+        )
+        assert errors != []
+        assert path.read_text() == before
+
+    def test_merge_keeps_other_sections(self, tmp_path):
+        path = tmp_path / "bench.json"
+        doc = run_scaling_bench(**TINY)
+        write_bench(doc, str(path))
+        section = valid_analysis_section()
+        assert merge_bench_sections(str(path), {"analysis": section}) == []
+        merged = json.loads(path.read_text())
+        assert merged["analysis"] == section
+        assert merged["engines"] == json.loads(json.dumps(doc["engines"]))

@@ -59,10 +59,6 @@ class TestServe:
         assert (runs[0] / "epochs.jsonl").exists()
         assert (runs[0] / "meta.json").exists()
 
-    def test_unsharded_smoke_matches(self, capsys):
-        assert main(["serve", "--smoke", "--no-shard"]) == 0
-        assert "differential check OK" in capsys.readouterr().out
-
     def test_smoke_with_metrics_probe(self, capsys):
         code = main(["serve", "--smoke", "--metrics-port", "0",
                      "--probe-metrics"])

@@ -53,7 +53,6 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
         seed=seed,
         epoch_max_events=epoch_events,
         epoch_max_ticks=epoch_ticks,
-        shard_workers=True,
     )
     service = MechanismService(
         RIT(engine=engine, rng_policy="per-type", round_budget="until-complete"),
@@ -93,9 +92,7 @@ def test_columnar_service_matches_sorted_offline_replay():
     events = scenario_event_stream(
         scenario, stream_rng, withdraw_fraction=0.1
     )
-    config = ServiceConfig(
-        seed=seed, epoch_max_events=36, shard_workers=True
-    )
+    config = ServiceConfig(seed=seed, epoch_max_events=36)
     service = MechanismService(
         RIT(
             engine="columnar",

@@ -122,22 +122,6 @@ class TestServeStream:
             for e in store_events
         )
 
-    def test_unsharded_epochs_match_sharded(self):
-        scenario, events = small_stream(users=100, tasks_per_type=5)
-        sharded = MechanismService(
-            mechanism(),
-            scenario.job,
-            ServiceConfig(seed=0, epoch_max_events=48, shard_workers=True),
-        ).serve_stream(list(events))
-        unsharded = MechanismService(
-            mechanism(),
-            scenario.job,
-            ServiceConfig(seed=0, epoch_max_events=48, shard_workers=False),
-        ).serve_stream(list(events))
-        assert len(sharded.epochs) == len(unsharded.epochs) > 0
-        for left, right in zip(sharded.outcomes(), unsharded.outcomes()):
-            assert canonical_outcome(left) == canonical_outcome(right)
-
     def test_open_loop_counts_rejections_instead_of_growing(self):
         scenario, events = small_stream(users=200, tasks_per_type=8)
         service = MechanismService(
