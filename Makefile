@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint analyze typecheck check trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke loadgen bench bench-smoke perfbench-smoke bench-pytest bench-json smoke paper report examples clean
+.PHONY: install test lint analyze typecheck check trace trace-smoke serve serve-smoke metrics-smoke sentinel sentinel-smoke arena arena-smoke bench bench-smoke perfbench-smoke bench-pytest bench-json smoke paper report examples clean
 
 install:
 	pip install -e .
@@ -49,20 +49,18 @@ trace-smoke:
 serve:
 	PYTHONPATH=src $(PY) -m repro serve
 
-# CI gate (<10s): tiny seeded loadgen -> epoch-batched serve with sharded
-# workers -> bit-identity differential vs the offline replay.
+# CI gate (<10s): tiny seeded stream -> epoch-batched serve with sharded
+# workers -> bit-identity differential vs the offline replay; then the
+# same stream with a seeded sybil burst under the sentinel plane.
 serve-smoke:
 	PYTHONPATH=src $(PY) -m repro serve --smoke
+	PYTHONPATH=src $(PY) -m repro serve --smoke --attack sybil
 
 # CI gate (<15s): boot the smoke service with the HTTP telemetry plane on
-# an ephemeral port, self-probe /metrics (must round-trip the OpenMetrics
-# parser), /healthz, /readyz and /epochs over real TCP, then validate the
-# service_slo bench section emitted by a tiny open-loop loadgen run.
+# an ephemeral port and self-probe /metrics (must round-trip the
+# OpenMetrics parser), /healthz, /readyz and /epochs over real TCP.
 metrics-smoke:
 	PYTHONPATH=src $(PY) -m repro serve --smoke --metrics-port 0 --probe-metrics
-	PYTHONPATH=src $(PY) -m repro loadgen --users 600 --types 3 \
-		--tasks-per-type 8 --epoch-events 256 --min-events 0 \
-		--bench --out /tmp/rit_metrics_smoke_bench.json
 
 # Live-adversary gate (docs/sentinel.md): three clean pinned scenarios
 # must stay alert-free, each seeded sybil/collusion/churn injection must
@@ -87,11 +85,6 @@ arena:
 # stream, same gates.
 arena-smoke:
 	PYTHONPATH=src $(PY) -m repro arena --smoke
-
-# Open-loop service throughput/latency (merge into BENCH_RIT.json with
-# `rit loadgen --bench`).
-loadgen:
-	PYTHONPATH=src $(PY) -m repro loadgen
 
 # The full gate new PRs must pass: domain lint + whole-program analysis
 # + types + tier-1 tests + the trace schema smoke + the service

@@ -2,7 +2,7 @@
 """Head-to-head: RIT vs the related-work rivals on one seeded stream.
 
 The paper's claim is comparative — RIT is *robust* where naive
-auction+tree combinations fail — so this demo replays one seeded loadgen
+auction+tree combinations fail — so this demo replays one seeded service
 stream (clean, plus a sybil schedule spliced in by the sentinel's attack
 injector) through every mechanism in the arena registry under identical
 epoch cuts, and prints the scorecard: tasks served, total payment,

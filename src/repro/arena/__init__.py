@@ -13,7 +13,7 @@ into a comparison platform:
   rewards with exact integer-cent apportionment (arXiv:1812.09433);
 * :mod:`repro.arena.registry` — the name → mechanism factory table
   behind ``rit arena --mechanisms``;
-* :mod:`repro.arena.harness` — replays one seeded loadgen stream (clean
+* :mod:`repro.arena.harness` — replays one seeded service stream (clean
   + attacked) through every registered mechanism under identical epoch
   cuts and emits the deterministic scorecard recorded as the ``arena``
   section of ``BENCH_RIT.json``.

@@ -19,13 +19,11 @@ Subcommands
 ``rit serve``             run the online epoch-batched mechanism service over
                           a seeded event stream and differential-check every
                           epoch against the offline ``RIT.run`` anchor
-                          (``--smoke`` is the tiny CI preset).
-``rit loadgen``           drive the service open-loop at scale and report
-                          throughput / epoch-latency percentiles
-                          (``--bench`` merges the ``service`` section into
-                          ``BENCH_RIT.json``; ``--graph`` picks the social
-                          regime, ``--attack`` injects a seeded adversary
-                          burst watched by the sentinel plane).
+                          (``--smoke`` is the tiny CI preset; ``--graph``
+                          picks the social regime, ``--attack`` injects a
+                          seeded adversary burst watched by the sentinel
+                          plane).  Service throughput is measured by the
+                          live-path benchmark in ``perfbench/``.
 ``rit sentinel``          run the live-adversary gate: clean pinned scenarios
                           must stay alert-free, seeded sybil/collusion/churn
                           injections must be flagged within K epochs, and the
@@ -296,6 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
         "round-trip the OpenMetrics parser, probes must answer; nonzero "
         "exit on any failure (requires --metrics-port)",
     )
+    p_serve.add_argument(
+        "--graph", choices=sorted(_GRAPH_REGIME_NAMES), default="twitter",
+        help="social-graph regime the solicitation forest grows over",
+    )
+    p_serve.add_argument(
+        "--attack", choices=["sybil", "collusion", "churn"], default=None,
+        help="inject a seeded adversary burst and attach the sentinel plane",
+    )
+    p_serve.add_argument(
+        "--attack-epoch", type=int, default=4,
+        help="epoch index the injected burst lands at (with --attack)",
+    )
+    p_serve.add_argument(
+        "--attack-seed", type=int, default=None,
+        help="attack RNG seed (defaults to --seed)",
+    )
 
     p_top = sub.add_parser(
         "top",
@@ -319,52 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_top.add_argument(
         "--once", action="store_true", help="render a single table and exit"
-    )
-
-    p_load = sub.add_parser(
-        "loadgen",
-        help="drive the service open-loop and report throughput/latency",
-    )
-    p_load.add_argument("--users", type=int, default=26000)
-    p_load.add_argument("--types", type=int, default=4)
-    p_load.add_argument("--tasks-per-type", type=int, default=50)
-    p_load.add_argument("--seed", type=int, default=0)
-    p_load.add_argument("--epoch-events", type=int, default=8192)
-    p_load.add_argument("--epoch-ticks", type=int, default=None)
-    p_load.add_argument("--queue", type=int, default=4096)
-    p_load.add_argument("--withdraw-fraction", type=float, default=0.02)
-    p_load.add_argument(
-        "--engine", choices=["sorted", "reference", "columnar"],
-        default="sorted",
-    )
-    p_load.add_argument(
-        "--min-events", type=int, default=None,
-        help="refuse to measure a stream smaller than this "
-        "(default 50000 with --bench, else 0)",
-    )
-    p_load.add_argument(
-        "--graph", choices=sorted(_GRAPH_REGIME_NAMES), default="twitter",
-        help="social-graph regime the solicitation forest grows over",
-    )
-    p_load.add_argument(
-        "--attack", choices=["sybil", "collusion", "churn"], default=None,
-        help="inject a seeded adversary burst and attach the sentinel plane",
-    )
-    p_load.add_argument(
-        "--attack-epoch", type=int, default=4,
-        help="epoch index the injected burst lands at (with --attack)",
-    )
-    p_load.add_argument(
-        "--attack-seed", type=int, default=None,
-        help="attack RNG seed (defaults to --seed)",
-    )
-    p_load.add_argument(
-        "--bench", action="store_true",
-        help="merge the measured ``service`` section into the bench doc",
-    )
-    p_load.add_argument(
-        "--out", default="BENCH_RIT.json",
-        help="bench document to merge into (with --bench)",
     )
 
     p_sentinel = sub.add_parser(
@@ -785,16 +753,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core.rit import RIT
-    from repro.core.rng import spawn_seeds
     from repro.obs import Tracer, config_hash
     from repro.service import (
         MechanismService,
         OutcomeLedger,
         ServiceConfig,
-        build_scenario,
+        build_stream,
         differential_check,
         replay_outcomes,
-        scenario_event_stream,
     )
 
     if args.smoke:
@@ -805,10 +771,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tasks_per_type = args.tasks_per_type
         epoch_events, epoch_ticks = args.epoch_events, args.epoch_ticks
     seed = int(args.seed)
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(users, types, tasks_per_type, scenario_rng)
-    events = scenario_event_stream(
-        scenario, stream_rng, withdraw_fraction=args.withdraw_fraction
+    attack = None
+    if args.attack is not None:
+        attack = {
+            "kind": args.attack,
+            "onset_epoch": args.attack_epoch,
+            "epoch_max_events": epoch_events,
+            "seed": seed if args.attack_seed is None else args.attack_seed,
+        }
+    job, _, events, schedule = build_stream(
+        seed,
+        users,
+        types,
+        tasks_per_type,
+        graph=args.graph,
+        withdraw_fraction=args.withdraw_fraction,
+        attack=attack,
     )
     config = ServiceConfig(
         seed=seed,
@@ -829,6 +807,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "epoch_max_ticks": epoch_ticks,
         **mechanism_params,
     }
+    # A non-default stream joins the config, and so the run id (and the
+    # ledger directory); the default stream keeps its historical id.
+    if args.graph != "twitter":
+        run_config["graph"] = args.graph
+    if attack is not None:
+        run_config["attack"] = attack
     run_id = f"rit-serve-{seed}-{config_hash(run_config)}"
     tracer = (
         Tracer(run_id, seed=seed, config=run_config)
@@ -836,12 +820,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else None
     )
     ledger = OutcomeLedger(args.ledger, run_id) if args.ledger else None
+    sentinel = None
+    if schedule is not None:
+        from repro.sentinel.plane import SentinelPlane
+
+        sentinel = SentinelPlane()
     service = MechanismService(
         RIT(**mechanism_params),
-        scenario.job,
+        job,
         config,
         tracer=tracer,
         ledger=ledger,
+        sentinel=sentinel,
+        meta_extra={"attack": schedule} if schedule is not None else None,
     )
     if args.probe_metrics and args.metrics_port is None:
         print("rit serve: --probe-metrics requires --metrics-port")
@@ -852,7 +843,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         report, probe_problems = _serve_with_metrics(service, events, args)
 
-    print(f"run {run_id}: users={users}  |J|={scenario.job.size}  "
+    print(f"run {run_id}: users={users}  |J|={job.size}  "
           f"stream={len(events)} events")
     print(f"ingest: offered={report.offered}  accepted={report.accepted}  "
           f"invalid={report.invalid}  rejected={report.rejected}  "
@@ -867,6 +858,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{epoch.outcome.total_payment:>12,.2f}  "
             f"{epoch.latency_seconds * 1000:>7.1f}ms"
         )
+    if sentinel is not None and schedule is not None:
+        from repro.sentinel.harness import attack_result_doc
+
+        entry = attack_result_doc(sentinel, schedule)
+        detected = entry["detected_epoch"]
+        print(f"sentinel: {entry['kind']} injected at epoch "
+              f"{entry['onset_epoch']}, "
+              + ("NOT detected" if detected is None else
+                 f"detected at epoch {detected} "
+                 f"(+{entry['epochs_to_detect']})")
+              + f", {entry['alerts_total']} alert(s), "
+              f"gated={report.gated}")
     if ledger is not None:
         print(f"ledger -> {ledger.epochs_path}")
     if tracer is not None:
@@ -875,7 +878,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     replayed = replay_outcomes(
         report.consumed,
-        scenario.job,
+        job,
         RIT(**mechanism_params),
         seed=seed,
         policy=config.policy(),
@@ -974,71 +977,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.devtools.bench import report_bench_merge
-    from repro.service.loadgen import run_service_bench
-
-    min_events = args.min_events
-    if min_events is None:
-        min_events = 50_000 if args.bench else 0
-    section = run_service_bench(
-        users=args.users,
-        types=args.types,
-        tasks_per_type=args.tasks_per_type,
-        seed=args.seed,
-        epoch_max_events=args.epoch_events,
-        epoch_max_ticks=args.epoch_ticks,
-        queue_size=args.queue,
-        withdraw_fraction=args.withdraw_fraction,
-        engine=args.engine,
-        min_events=min_events,
-        graph=args.graph,
-        attack=args.attack,
-        attack_epoch=args.attack_epoch,
-        attack_seed=args.attack_seed,
-    )
-    slo = section.pop("slo")
-    sentinel_section = section.pop("sentinel", None)
-    events = section["events"]
-    latency = section["epoch_latency_seconds"]
-    print(f"stream: {events['generated']} events generated, "
-          f"{events['offered']} offered "
-          f"({events['accepted']} accepted / {events['invalid']} invalid / "
-          f"{events['rejected']} rejected / {events['gated']} gated)")
-    print(f"state:  {events['applied']} applied, {events['refused']} refused")
-    print(f"epochs: {section['epochs']['count']} "
-          f"({section['epochs']['completed']} completed, "
-          f"{section['epochs']['voided']} voided)")
-    print(f"throughput: {section['events_per_sec']:,.0f} events/s "
-          f"over {section['elapsed_seconds']:.2f}s")
-    print(f"epoch latency: p50 {latency['p50'] * 1000:.1f} ms  "
-          f"p95 {latency['p95'] * 1000:.1f} ms")
-    print(f"queue: highwater {section['queue']['highwater']}"
-          f"/{section['queue']['capacity']}")
-    for label, key in (("ingest", "ingest"), ("epoch", "epoch"),
-                       ("shard", "shard")):
-        block = slo[key]
-        print(f"slo {label}: p50 {block['p50'] * 1000:.2f} ms  "
-              f"p95 {block['p95'] * 1000:.2f} ms  "
-              f"p99 {block['p99'] * 1000:.2f} ms  "
-              f"(n={block['count']})")
-    if sentinel_section is not None:
-        entry = sentinel_section["attacks"][0]
-        detected = entry["detected_epoch"]
-        print(f"sentinel: {entry['kind']} injected at epoch "
-              f"{entry['onset_epoch']}, "
-              + ("NOT detected" if detected is None else
-                 f"detected at epoch {detected} "
-                 f"(+{entry['epochs_to_detect']})")
-              + f", {entry['alerts_total']} alert(s)")
-    if args.bench:
-        sections = {"service": section, "service_slo": slo}
-        if sentinel_section is not None:
-            sections["sentinel"] = sentinel_section
-        return report_bench_merge(args.out, sections)
-    return 0
-
-
 def _cmd_sentinel(args: argparse.Namespace) -> int:
     from repro.devtools.bench import report_bench_merge
     from repro.sentinel.harness import (
@@ -1132,7 +1070,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "serve": _cmd_serve,
         "top": _cmd_top,
-        "loadgen": _cmd_loadgen,
         "sentinel": _cmd_sentinel,
         "arena": _cmd_arena,
         "lint": _cmd_lint,

@@ -20,9 +20,9 @@ and breaks cross-run comparability, so both are flagged here.
 
 The scope is the instrumented set, module by module (not whole packages):
 uninstrumented modules keep the looser RIT005 contract.  Note what is
-deliberately *outside* the scope: ``repro.service.loadgen`` wraps the
-whole service run with ``time.perf_counter`` (a bench harness, not a
-traced path), ``repro.service.top`` is an interactive terminal client
+deliberately *outside* the scope: ``repro.service.loadgen`` only builds
+seeded event streams and has nothing to time, ``repro.service.top`` is
+an interactive terminal client
 that legitimately sleeps between polls, and ``repro.sentinel.harness``
 is the bench/CLI driver for the live-adversary gate.  The arena's
 mechanism and replay modules (``repro.arena.protocol`` / ``omg`` /

@@ -4,8 +4,8 @@ The service's event loop multiplexes the ingestion frontend, the epoch
 scheduler and the shard-worker dispatch on one thread.  A blocking call
 inside a coroutine (``time.sleep``, synchronous file I/O) stalls every
 queue on the loop at once: producers hit backpressure they shouldn't,
-epoch latency percentiles become fiction, and the open-loop load
-generator deadlocks against its own consumer.  Blocking work belongs in
+epoch latency percentiles become fiction, and an open-loop producer
+deadlocks against its own consumer.  Blocking work belongs in
 the worker thread pool (``loop.run_in_executor``) — which is exactly why
 nested *synchronous* ``def`` bodies are exempt: those are the executor
 thunks.

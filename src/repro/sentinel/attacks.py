@@ -31,10 +31,10 @@ replayable record the service stores in its ledger meta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import AttackError, ConfigurationError
-from repro.core.rng import SeedLike, as_generator
+from repro.core.rng import as_generator
 from repro.core.types import Job
 from repro.attacks.collusion import Coalition
 from repro.attacks.sybil import SybilAttack
@@ -47,7 +47,7 @@ from repro.service.events import (
 
 __all__ = ["ATTACK_KINDS", "StreamPrefix", "inject_attack"]
 
-#: The attack kinds ``rit loadgen --attack`` understands.
+#: The attack kinds ``rit serve --attack`` understands.
 ATTACK_KINDS = ("sybil", "collusion", "churn")
 
 
@@ -231,7 +231,7 @@ def inject_attack(
     kind: str,
     onset_epoch: int,
     epoch_max_events: int,
-    seed: SeedLike = None,
+    seed: Optional[int] = None,
     sybil_identities: int = 12,
     collusion_cohort: int = 24,
     collusion_markup: float = 3.0,
@@ -249,8 +249,8 @@ def inject_attack(
 
     Returns ``(rewritten_events, schedule)``; the schedule is a JSON-able
     replay record (kind, seed, onset, injected ids/values) that the
-    service persists in its ledger meta and ``rit loadgen --bench``
-    records in the ``sentinel`` section.
+    service persists in its ledger meta and the sentinel gate records in
+    its ``sentinel`` section.
     """
     if kind not in ATTACK_KINDS:
         raise ConfigurationError(
@@ -292,4 +292,5 @@ def inject_attack(
         "injected_events": len(burst),
     }
     schedule.update(detail)
+    schedule["seed"] = seed
     return events[:position] + burst + events[position:], schedule

@@ -22,12 +22,12 @@ stock stream generator appends all withdrawals as one tail cohort, which
 clean baseline.
 
 The result is the schema-validated ``sentinel`` section of
-``BENCH_RIT.json`` (:func:`repro.devtools.bench.validate_bench_schema`),
-also produced per-run by ``rit loadgen --attack … --bench``.
+``BENCH_RIT.json`` (:func:`repro.devtools.bench.validate_bench_schema`).
+``rit serve --attack`` runs one injection the same way and prints its
+detection line (:func:`attack_result_doc`).
 
-Like :mod:`repro.service.loadgen` and :mod:`repro.service.top`, this is
-a bench/CLI harness and deliberately sits outside the RIT007
-instrumented-module scopes.
+Like :mod:`repro.service.top`, this is a bench/CLI harness and
+deliberately sits outside the RIT007 instrumented-module scopes.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.rit import RIT
-from repro.core.rng import spawn_seeds
-from repro.sentinel.attacks import inject_attack
 from repro.sentinel.detectors import SentinelConfig
 from repro.sentinel.plane import SentinelPlane
-from repro.service.loadgen import build_scenario, scenario_event_stream
+from repro.service.loadgen import build_stream
 from repro.service.replay import differential_check, replay_outcomes
 from repro.service.service import MechanismService, ServiceConfig
 
@@ -49,13 +47,12 @@ __all__ = [
     "CLEAN_SCENARIOS",
     "ATTACK_SCENARIOS",
     "attack_result_doc",
-    "sentinel_section_for_run",
     "run_sentinel_report",
     "render_sentinel_report",
 ]
 
 #: Epoch budget an injected attack must be detected within (the ``K`` of
-#: the acceptance gate); shared by the harness and ``--attack --bench``.
+#: the acceptance gate).
 DEFAULT_DETECTION_BUDGET = 3
 
 #: The three clean pinned scenarios (one per graph regime).  No
@@ -91,26 +88,19 @@ def _drive(
     through a plain ``RIT.run`` anchor and compared canonically.
     """
     seed = int(base["seed"])
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(
+    job, _, events, schedule = build_stream(
+        seed,
         int(base["users"]),
         int(base["types"]),
         int(base["tasks_per_type"]),
-        scenario_rng,
         graph=str(base["graph"]),
+        attack=None if attack is None else {
+            "kind": str(attack["kind"]),
+            "onset_epoch": int(attack["onset_epoch"]),
+            "epoch_max_events": int(base["epoch_max_events"]),
+            "seed": int(attack["attack_seed"]),
+        },
     )
-    events = scenario_event_stream(scenario, stream_rng)
-    schedule: Optional[Dict[str, Any]] = None
-    if attack is not None:
-        events, schedule = inject_attack(
-            events,
-            scenario.job,
-            kind=str(attack["kind"]),
-            onset_epoch=int(attack["onset_epoch"]),
-            epoch_max_events=int(base["epoch_max_events"]),
-            seed=int(attack["attack_seed"]),
-        )
-        schedule["seed"] = int(attack["attack_seed"])
     mechanism = RIT(rng_policy="per-type", round_budget="until-complete")
     service_config = ServiceConfig(
         seed=seed, epoch_max_events=int(base["epoch_max_events"])
@@ -118,7 +108,7 @@ def _drive(
     plane = SentinelPlane(config)
     service = MechanismService(
         mechanism,
-        scenario.job,
+        job,
         service_config,
         sentinel=plane,
         meta_extra={"attack": schedule} if schedule is not None else None,
@@ -126,7 +116,7 @@ def _drive(
     report = service.serve_stream(events)
     replayed = replay_outcomes(
         report.consumed,
-        scenario.job,
+        job,
         RIT(rng_policy="per-type", round_budget="until-complete"),
         seed=seed,
         policy=service_config.policy(),
@@ -138,7 +128,7 @@ def _drive(
 
 
 def _detection(
-    plane: SentinelPlane, schedule: Dict[str, Any], k: int
+    plane: SentinelPlane, schedule: Dict[str, Any]
 ) -> Tuple[Optional[int], Optional[int]]:
     """(first detection epoch at/after onset, epochs_to_detect) or Nones."""
     onset = int(schedule["onset_epoch"])
@@ -150,14 +140,11 @@ def _detection(
 
 
 def attack_result_doc(
-    plane: SentinelPlane,
-    schedule: Dict[str, Any],
-    *,
-    k: int = DEFAULT_DETECTION_BUDGET,
+    plane: SentinelPlane, schedule: Dict[str, Any]
 ) -> Dict[str, Any]:
     """One attack run as a bench-doc entry (detection latency + counts)."""
     onset = int(schedule["onset_epoch"])
-    detected_epoch, epochs_to_detect = _detection(plane, schedule, k)
+    detected_epoch, epochs_to_detect = _detection(plane, schedule)
     before_onset = sum(
         1 for alert in plane.alerts if int(alert["epoch"]) < onset
     )
@@ -170,30 +157,6 @@ def attack_result_doc(
         "alerts_before_onset": before_onset,
         "detectors": dict(plane.alert_counts),
         "schedule": dict(schedule),
-    }
-
-
-def sentinel_section_for_run(
-    plane: SentinelPlane,
-    schedule: Dict[str, Any],
-    *,
-    graph: str = "twitter",
-    k: int = DEFAULT_DETECTION_BUDGET,
-) -> Dict[str, Any]:
-    """The ``sentinel`` bench section for one ``--attack`` loadgen run."""
-    entry = attack_result_doc(plane, schedule, k=k)
-    entry["graph"] = graph
-    detected = (
-        entry["epochs_to_detect"] is not None
-        and entry["epochs_to_detect"] <= k
-    )
-    return {
-        "config": asdict(plane.config),
-        "k": k,
-        "clean": [],
-        "attacks": [entry],
-        "detection_within_k": bool(detected),
-        "zero_false_positives": entry["alerts_before_onset"] == 0,
     }
 
 
@@ -245,7 +208,7 @@ def run_sentinel_report(
     for spec in attacks:
         plane, report, schedule, diff = _drive(base, attack=spec, config=cfg)
         assert schedule is not None
-        entry = attack_result_doc(plane, schedule, k=k)
+        entry = attack_result_doc(plane, schedule)
         entry["graph"] = str(base["graph"])
         attack_docs.append(entry)
         if entry["epochs_to_detect"] is None or entry["epochs_to_detect"] > k:

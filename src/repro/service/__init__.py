@@ -35,7 +35,7 @@ from repro.service.frontend import IngestFrontend
 from repro.service.ledger import OutcomeLedger, canonical_outcome
 from repro.service.loadgen import (
     build_scenario,
-    run_service_bench,
+    build_stream,
     scenario_event_stream,
 )
 from repro.service.replay import differential_check, replay_outcomes
@@ -86,5 +86,5 @@ __all__ = [
     "differential_check",
     "scenario_event_stream",
     "build_scenario",
-    "run_service_bench",
+    "build_stream",
 ]

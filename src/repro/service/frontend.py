@@ -4,13 +4,13 @@ Two admission modes, both counted on the tracer and never silent:
 
 * :meth:`IngestFrontend.put` — *closed-loop* producers await until space
   frees up (backpressure propagates to the caller);
-* :meth:`IngestFrontend.offer` — *open-loop* producers (the load
-  generator) get an immediate verdict: the event is enqueued, or refused
-  with a reason (``"invalid: …"`` for structural failures,
-  ``"backpressure"`` when the queue is full).  Rejected events are
-  dropped *by contract*, with the rejection counter as the audit trail —
-  this bounds memory under overload instead of growing the queue without
-  limit.
+* :meth:`IngestFrontend.offer` — *open-loop* producers (the paced
+  arrival schedule of ``perfbench/``) get an immediate verdict: the
+  event is enqueued, or refused with a reason (``"invalid: …"`` for
+  structural failures, ``"backpressure"`` when the queue is full).
+  Rejected events are dropped *by contract*, with the rejection counter
+  as the audit trail — this bounds memory under overload instead of
+  growing the queue without limit.
 
 Structural validation (:func:`repro.service.events.validate_event`) runs
 at the frontend, before an event can occupy queue space; stateful

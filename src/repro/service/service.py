@@ -290,38 +290,20 @@ class MechanismService:
     # Producers and one-shot drivers
     # ------------------------------------------------------------------ #
 
-    async def produce(
-        self,
-        events: Iterable[ServiceEvent],
-        *,
-        open_loop: bool = False,
-        yield_every: int = 64,
-    ) -> None:
+    async def produce(self, events: Iterable[ServiceEvent]) -> None:
         """Feed a finite stream into the frontend, then close it.
 
-        Closed-loop (default) awaits queue space — nothing is dropped.
-        Open-loop offers at full speed and lets the frontend reject on
-        backpressure, yielding to the event loop every ``yield_every``
-        events so the consumer actually runs.
+        Awaits queue space for every event — nothing is dropped.
         """
-        for position, event in enumerate(events):
-            if open_loop:
-                self.frontend.offer(event)
-                if position % yield_every == 0:
-                    await asyncio.sleep(0)
-            else:
-                await self.frontend.put(event)
+        for event in events:
+            await self.frontend.put(event)
         await self.frontend.close()
 
-    def serve_stream(
-        self, events: Iterable[ServiceEvent], *, open_loop: bool = False
-    ) -> ServiceReport:
+    def serve_stream(self, events: Iterable[ServiceEvent]) -> ServiceReport:
         """Synchronous convenience: produce + serve one finite stream."""
 
         async def _main() -> ServiceReport:
-            producer = asyncio.ensure_future(
-                self.produce(events, open_loop=open_loop)
-            )
+            producer = asyncio.ensure_future(self.produce(events))
             try:
                 return await self.serve()
             finally:

@@ -19,8 +19,8 @@ instrumented observations three ways:
   limit.
 
 The telemetry plane is deliberately independent of the tracer: it works
-on untraced runs (``rit loadgen --bench`` builds its ``service_slo``
-section from :meth:`ServiceTelemetry.slo_summary`), and when a recording
+on untraced runs (:meth:`ServiceTelemetry.slo_summary` summarizes the
+histograms without one), and when a recording
 tracer *is* attached the service mirrors every observation into
 ``distribution`` events so traces stay the single replayable record.
 All mutation happens on the event-loop thread (single-writer — shard
@@ -198,11 +198,12 @@ class ServiceTelemetry:
         }
 
     def slo_summary(self) -> Dict[str, Any]:
-        """The ``service_slo`` section of ``BENCH_RIT.json``.
+        """Histogram summaries of the service's latency distributions.
 
-        Quantiles come from the fixed-boundary histograms (interpolated,
-        clamped to exact extremes — see :mod:`repro.obs.metrics`), so the
-        document is schema-stable even on degenerate runs.
+        Served as the ``slo`` block of ``GET /epochs``.  Quantiles come
+        from the fixed-boundary histograms (interpolated, clamped to exact
+        extremes — see :mod:`repro.obs.metrics`), so the document is
+        schema-stable even on degenerate runs.
         """
         return {
             "epochs_closed": self.epochs_closed,

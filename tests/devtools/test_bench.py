@@ -10,6 +10,7 @@ from repro.core.exceptions import ConfigurationError
 from repro.devtools.bench import (
     BENCH_SCHEMA_VERSION,
     SCENARIO_PRESETS,
+    _percentile,
     merge_bench_sections,
     run_scaling_bench,
     run_scenario_bench,
@@ -140,133 +141,31 @@ class TestValidateSchema:
         assert any("unknown engine" in e for e in validate_bench_schema(doc))
 
 
-def valid_service_section():
-    return {
-        "config": {"users": 400, "seed": 0},
-        "events": {
-            "generated": 800,
-            "offered": 800,
-            "accepted": 780,
-            "invalid": 5,
-            "rejected": 15,
-            "applied": 770,
-            "refused": 10,
-        },
-        "events_per_sec": 50_000.0,
-        "elapsed_seconds": 0.016,
-        "epochs": {"count": 3, "completed": 2, "voided": 1},
-        "epoch_latency_seconds": {
-            "mean": 0.004,
-            "min": 0.001,
-            "p50": 0.003,
-            "p95": 0.009,
-            "max": 0.01,
-        },
-        "queue": {"capacity": 512, "highwater": 200},
-    }
+class TestPercentile:
+    """Nearest-rank: the 1-based rank is ``ceil(q · n)``."""
 
+    def test_small_even_sets_take_the_lower_median(self):
+        assert _percentile([4.0, 1.0, 3.0, 2.0], 0.50) == 2.0
+        assert _percentile([float(v) for v in range(1, 9)], 0.50) == 4.0
 
-class TestValidateServiceSection:
-    def base_doc(self):
-        doc = run_scaling_bench(**TINY)
-        doc["service"] = valid_service_section()
-        return doc
+    def test_default_reps_p95_is_the_largest_sample(self):
+        # ``rit bench`` defaults to 15 reps: ceil(0.95 · 15) = 15.
+        assert _percentile([float(v) for v in range(1, 16)], 0.95) == 15.0
 
-    def test_valid_section_accepted(self):
-        assert validate_bench_schema(self.base_doc()) == []
+    def test_exact_products_stay_on_their_rank(self):
+        assert _percentile([float(v) for v in range(1, 21)], 0.95) == 19.0
 
-    def test_docs_without_service_section_stay_valid(self):
-        assert validate_bench_schema(run_scaling_bench(**TINY)) == []
+    @pytest.mark.parametrize(
+        "n, p50, p95", [(3, 2.0, 3.0), (5, 3.0, 5.0)]
+    )
+    def test_preset_rep_counts_unchanged(self, n, p50, p95):
+        samples = [float(v) for v in range(n, 0, -1)]
+        assert _percentile(samples, 0.50) == p50
+        assert _percentile(samples, 0.95) == p95
 
-    def test_unbalanced_event_counts_flagged(self):
-        doc = self.base_doc()
-        doc["service"]["events"]["rejected"] = 0  # silently dropped events
-        assert any("balance" in e for e in validate_bench_schema(doc))
-
-    def test_highwater_above_capacity_flagged(self):
-        doc = self.base_doc()
-        doc["service"]["queue"]["highwater"] = 9999
-        assert any("unbounded" in e for e in validate_bench_schema(doc))
-
-    def test_missing_latency_stat_flagged(self):
-        doc = self.base_doc()
-        del doc["service"]["epoch_latency_seconds"]["p95"]
-        errors = validate_bench_schema(doc)
-        assert any("p95" in e for e in errors)
-
-    def test_non_positive_throughput_flagged(self):
-        doc = self.base_doc()
-        doc["service"]["events_per_sec"] = 0.0
-        assert any("events_per_sec" in e for e in validate_bench_schema(doc))
-
-
-def valid_service_slo_section():
-    block = {
-        "count": 3, "sum": 0.03, "min": 0.001, "max": 0.02,
-        "p50": 0.005, "p95": 0.018, "p99": 0.02,
-    }
-    return {
-        "epochs_closed": 3,
-        "shards_run": 6,
-        "ingest": dict(block),
-        "epoch": dict(block),
-        "shard": dict(block),
-        "queue_depth": dict(block),
-        "batch_events": dict(block),
-    }
-
-
-class TestValidateServiceSloSection:
-    def base_doc(self):
-        doc = run_scaling_bench(**TINY)
-        doc["service"] = valid_service_section()
-        doc["service_slo"] = valid_service_slo_section()
-        return doc
-
-    def test_valid_section_accepted(self):
-        assert validate_bench_schema(self.base_doc()) == []
-
-    def test_real_telemetry_summary_validates(self):
-        # The validator must accept what the live plane actually emits.
-        from repro.service import ServiceTelemetry
-
-        doc = self.base_doc()
-        doc["service_slo"] = ServiceTelemetry().slo_summary()  # degenerate run
-        assert validate_bench_schema(doc) == []
-
-    def test_non_object_rejected(self):
-        doc = self.base_doc()
-        doc["service_slo"] = []
-        assert any("not an object" in e for e in validate_bench_schema(doc))
-
-    def test_negative_counter_flagged(self):
-        doc = self.base_doc()
-        doc["service_slo"]["epochs_closed"] = -1
-        assert any("epochs_closed" in e for e in validate_bench_schema(doc))
-
-    def test_missing_block_flagged(self):
-        doc = self.base_doc()
-        del doc["service_slo"]["queue_depth"]
-        assert any("queue_depth" in e for e in validate_bench_schema(doc))
-
-    def test_missing_quantile_flagged(self):
-        doc = self.base_doc()
-        del doc["service_slo"]["shard"]["p99"]
-        assert any("shard.p99" in e for e in validate_bench_schema(doc))
-
-    def test_unordered_quantiles_flagged(self):
-        doc = self.base_doc()
-        doc["service_slo"]["epoch"]["p95"] = 0.5  # above p99 and max
-        assert any("ordered" in e for e in validate_bench_schema(doc))
-
-    def test_empty_blocks_skip_ordering_check(self):
-        doc = self.base_doc()
-        zero = {
-            "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-            "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
-        doc["service_slo"]["ingest"] = zero
-        assert validate_bench_schema(doc) == []
+    def test_empty_set_rejected(self):
+        with pytest.raises(ConfigurationError):
+            _percentile([], 0.5)
 
 
 def valid_analysis_section():

@@ -146,3 +146,12 @@ class TestInjectAttack:
         )
         assert schedule["injection_index"] == len(events)
         assert rewritten[: len(events)] == events
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_schedule_records_its_seed(self, kind):
+        scenario, events = clean_stream(users=60)
+        _, schedule = inject_attack(
+            events, scenario.job, kind=kind, onset_epoch=2,
+            epoch_max_events=8, seed=11,
+        )
+        assert schedule["seed"] == 11

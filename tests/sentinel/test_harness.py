@@ -6,6 +6,9 @@ from repro.devtools.bench import _validate_sentinel_section, validate_bench_sche
 from repro.sentinel.harness import (
     ATTACK_SCENARIOS,
     CLEAN_SCENARIOS,
+    DEFAULT_DETECTION_BUDGET,
+    _drive,
+    attack_result_doc,
     render_sentinel_report,
     run_sentinel_report,
 )
@@ -53,3 +56,18 @@ class TestSmokeReport:
         assert "detection within K=3: True" in text
         assert "zero false positives: True" in text
         assert "sybil" in text
+
+
+class TestDrive:
+    def test_collusion_on_watts_strogatz_detected_within_k(self):
+        base = {"seed": 5, "users": 400, "types": 3, "tasks_per_type": 6,
+                "epoch_max_events": 32, "graph": "watts-strogatz"}
+        attack = {"kind": "collusion", "onset_epoch": 5, "attack_seed": 202}
+        plane, report, schedule, problems = _drive(base, attack=attack)
+        assert problems == []
+        assert report.gated == 0
+        assert schedule["seed"] == 202
+        entry = attack_result_doc(plane, schedule)
+        assert entry["kind"] == "collusion"
+        assert entry["alerts_before_onset"] == 0
+        assert 0 <= entry["epochs_to_detect"] <= DEFAULT_DETECTION_BUDGET

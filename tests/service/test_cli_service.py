@@ -1,6 +1,8 @@
-"""CLI coverage for ``rit serve``, ``rit loadgen`` and ``rit top``."""
+"""CLI coverage for ``rit serve`` and ``rit top``."""
 
 import json
+
+import pytest
 
 from repro.cli import build_parser, main
 
@@ -15,13 +17,17 @@ class TestParser:
         assert args.metrics_port is None
         assert args.metrics_host == "127.0.0.1"
         assert args.probe_metrics is False
+        assert args.graph == "twitter"
+        assert args.attack is None
+        assert args.attack_epoch == 4
+        assert args.attack_seed is None
 
-    def test_loadgen_defaults(self):
-        args = build_parser().parse_args(["loadgen"])
-        assert args.command == "loadgen"
-        assert args.bench is False
-        assert args.users == 26000
-        assert args.min_events is None
+    def test_loadgen_is_not_a_subcommand(self, capsys):
+        # Service throughput is perfbench's job; the racing bench is gone.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["loadgen"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'loadgen'" in capsys.readouterr().err
 
     def test_top_defaults(self):
         args = build_parser().parse_args(["top"])
@@ -72,6 +78,29 @@ class TestServe:
         assert main(["serve", "--smoke", "--probe-metrics"]) == 2
         assert "--metrics-port" in capsys.readouterr().out
 
+    def test_smoke_attack_is_detected_and_differential_holds(self, capsys):
+        assert main(["serve", "--smoke", "--attack", "sybil"]) == 0
+        out = capsys.readouterr().out
+        assert "sentinel: sybil injected at epoch 4, detected at epoch" in out
+        assert "differential check OK" in out
+
+    def test_attack_schedule_lands_in_its_own_ledger_run(
+        self, tmp_path, capsys
+    ):
+        ledger = tmp_path / "ledger"
+        assert main(["serve", "--smoke", "--ledger", str(ledger)]) == 0
+        assert main(["serve", "--smoke", "--ledger", str(ledger),
+                     "--attack", "churn", "--attack-seed", "3"]) == 0
+        metas = [
+            json.loads((run / "meta.json").read_text())
+            for run in sorted(ledger.iterdir())
+        ]
+        assert len(metas) == 2
+        attacked = [meta["attack"] for meta in metas if "attack" in meta]
+        assert len(attacked) == 1
+        assert attacked[0]["kind"] == "churn"
+        assert attacked[0]["seed"] == 3
+
 
 class TestTop:
     def test_renders_service_trace(self, tmp_path, capsys):
@@ -88,73 +117,3 @@ class TestTop:
     def test_requires_a_source(self, capsys):
         assert main(["top"]) == 2
         assert "exactly one" in capsys.readouterr().out
-
-
-class TestLoadgen:
-    def test_small_run_reports_throughput(self, capsys):
-        code = main(
-            [
-                "loadgen",
-                "--users", "400",
-                "--types", "2",
-                "--tasks-per-type", "6",
-                "--epoch-events", "256",
-                "--queue", "512",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "events/s" in out
-        assert "epoch latency" in out
-
-    def test_bench_merges_service_section(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_RIT.json"
-        code = main(
-            [
-                "loadgen",
-                "--users", "400",
-                "--types", "2",
-                "--tasks-per-type", "6",
-                "--epoch-events", "256",
-                "--queue", "512",
-                "--min-events", "0",
-                "--bench",
-                "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        doc = json.loads(out_path.read_text())
-        assert doc["service"]["events"]["generated"] >= 400
-        assert (
-            doc["service"]["events"]["offered"]
-            == doc["service"]["events"]["accepted"]
-            + doc["service"]["events"]["invalid"]
-            + doc["service"]["events"]["rejected"]
-        )
-
-    def test_bench_merges_service_slo_section(self, tmp_path, capsys):
-        from repro.devtools.bench import _validate_service_slo_section
-
-        out_path = tmp_path / "BENCH_RIT.json"
-        code = main(
-            [
-                "loadgen",
-                "--users", "400",
-                "--types", "2",
-                "--tasks-per-type", "6",
-                "--epoch-events", "256",
-                "--queue", "512",
-                "--min-events", "0",
-                "--bench",
-                "--out", str(out_path),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "service_slo sections merged" in out
-        assert "slo ingest" in out
-        doc = json.loads(out_path.read_text())
-        slo = doc["service_slo"]
-        assert _validate_service_slo_section(slo) == []
-        assert slo["epochs_closed"] == doc["service"]["epochs"]["count"]
-        assert slo["epoch"]["count"] == slo["epochs_closed"]

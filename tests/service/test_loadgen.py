@@ -1,26 +1,33 @@
-"""Load generator determinism and the bench ``service`` section."""
+"""Seeded scenario, stream and attack builders (``repro.service.loadgen``)."""
+
+import hashlib
+import json
 
 import pytest
 
 from repro.core.exceptions import ConfigurationError
-from repro.devtools.bench import validate_bench_schema
-from repro.service.events import AskSubmitted, ReferralEdge, Withdrawal
+from repro.core.rng import spawn_seeds
+from repro.service.events import (
+    AskSubmitted,
+    ReferralEdge,
+    Withdrawal,
+    event_to_dict,
+)
 from repro.service.loadgen import (
     GRAPH_REGIMES,
     build_scenario,
-    run_service_bench,
+    build_stream,
     scenario_event_stream,
 )
 
-BENCH_TINY = dict(
-    users=400,
-    types=2,
-    tasks_per_type=6,
-    seed=0,
-    epoch_max_events=256,
-    queue_size=512,
-    withdraw_fraction=0.05,
-)
+
+def fingerprint(events):
+    payload = json.dumps(
+        [event_to_dict(event) for event in events],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class TestScenarioEventStream:
@@ -107,50 +114,57 @@ class TestGraphRegimes:
         assert named.tree.to_parent_map() == default.tree.to_parent_map()
 
 
-class TestAttackBench:
-    def test_attack_run_emits_schema_valid_sentinel_section(self):
-        section = run_service_bench(
-            users=400, types=3, tasks_per_type=6, seed=5,
-            epoch_max_events=32, withdraw_fraction=0.0,
-            graph="watts-strogatz", attack="collusion", attack_epoch=5,
-            attack_seed=202, min_events=0,
+class TestBuildStream:
+    # Digests of the sentinel's clean-twitter stream, its sybil splice and
+    # the ``rit serve --smoke`` stream: a change here moves the committed
+    # ``sentinel``/``arena`` records and the serve smoke output with it.
+    CLEAN_TWITTER_SHA = (
+        "2715c52278fdc362bcb3eb39e734b126a83c5e679df9442b58c56e3845caeae9"
+    )
+    SYBIL_SHA = (
+        "33531d185978beb88bd5673b2b74083f0005cbc27c6b375aec948998b4073604"
+    )
+    SERVE_SMOKE_SHA = (
+        "39f87943b3604d757f51e3b9ea2cce85e95064f87d1ad91c3ecf9b9858299819"
+    )
+    SYBIL = {"kind": "sybil", "onset_epoch": 5, "epoch_max_events": 32,
+             "seed": 101}
+
+    def test_clean_twitter_sentinel_stream_is_pinned(self):
+        job, clean, events, schedule = build_stream(5, 300, 3, 6)
+        assert (len(clean), fingerprint(clean)) == (599, self.CLEAN_TWITTER_SHA)
+        assert events is clean
+        assert schedule is None
+        assert job.counts == (6, 6, 6)
+
+    def test_sybil_splice_is_pinned(self):
+        _, clean, events, schedule = build_stream(
+            5, 300, 3, 6, attack=self.SYBIL
         )
-        from repro.devtools.bench import _validate_sentinel_section
+        assert fingerprint(clean) == self.CLEAN_TWITTER_SHA
+        assert (len(events), fingerprint(events)) == (623, self.SYBIL_SHA)
+        assert schedule["seed"] == 101
+        assert schedule["victim"] == 46
+        assert schedule["injected_events"] == 24
 
-        sentinel = section["sentinel"]
-        assert _validate_sentinel_section(sentinel) == []
-        assert sentinel["detection_within_k"] is True
-        entry = sentinel["attacks"][0]
-        assert entry["kind"] == "collusion"
-        assert entry["graph"] == "watts-strogatz"
-        assert entry["schedule"]["seed"] == 202
-        assert section["events"]["gated"] == 0
+    def test_serve_smoke_stream_is_pinned(self):
+        _, clean, _, _ = build_stream(0, 180, 3, 8, withdraw_fraction=0.05)
+        assert (len(clean), fingerprint(clean)) == (368, self.SERVE_SMOKE_SHA)
 
-    def test_clean_run_has_no_sentinel_section(self):
-        section = run_service_bench(**{**BENCH_TINY, "min_events": 0})
-        assert "sentinel" not in section
-
-
-class TestRunServiceBench:
-    def test_tiny_run_emits_schema_valid_section(self):
-        section = run_service_bench(**BENCH_TINY)
-        # Validate through the real schema gate by mounting the section on
-        # a minimal document the validator recognizes as service-bearing.
-        errors = [
-            e
-            for e in validate_bench_schema(
-                {"schema_version": 1, "service": section}
-            )
-            if e.startswith("service")
-        ]
-        assert errors == []
-        assert section["events"]["generated"] >= 400
-        assert section["epochs"]["count"] >= 1
-
-    def test_min_events_floor_enforced(self):
-        with pytest.raises(ConfigurationError):
-            run_service_bench(**{**BENCH_TINY, "min_events": 10_000_000})
+    def test_matches_the_step_by_step_recipe(self):
+        scenario_rng, stream_rng = spawn_seeds(3, 2)
+        scenario = build_scenario(
+            90, 2, 4, scenario_rng, graph="forest-fire"
+        )
+        expected = scenario_event_stream(
+            scenario, stream_rng, withdraw_fraction=0.1
+        )
+        job, clean, _, _ = build_stream(
+            3, 90, 2, 4, graph="forest-fire", withdraw_fraction=0.1
+        )
+        assert job == scenario.job
+        assert clean == expected
 
     def test_rejects_non_positive_users(self):
         with pytest.raises(ConfigurationError):
-            run_service_bench(**{**BENCH_TINY, "users": 0})
+            build_stream(0, 0, 3, 5)

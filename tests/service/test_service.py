@@ -121,14 +121,3 @@ class TestServeStream:
             and e["delta"] > 0
             for e in store_events
         )
-
-    def test_open_loop_counts_rejections_instead_of_growing(self):
-        scenario, events = small_stream(users=200, tasks_per_type=8)
-        service = MechanismService(
-            mechanism(),
-            scenario.job,
-            ServiceConfig(seed=0, epoch_max_events=64, queue_size=16),
-        )
-        report = service.serve_stream(events, open_loop=True)
-        assert report.queue_highwater <= 16
-        assert report.offered == report.accepted + report.invalid + report.rejected
