@@ -88,19 +88,20 @@ arena-smoke:
 
 # The full gate new PRs must pass: domain lint + whole-program analysis
 # + types + tier-1 tests + the trace schema smoke + the service
-# differential smoke + the columnar bench schema smoke + the live
+# differential smoke + the bench schema smoke + the live
 # telemetry endpoint smoke + the live-adversary sentinel smoke + the
 # head-to-head arena smoke + the live-path benchmark's tiny shapes.
 check: lint analyze typecheck test trace-smoke serve-smoke bench-smoke metrics-smoke sentinel-smoke arena-smoke perfbench-smoke
 
 # Fast perf baseline: times the scaling workload on both auction engines
-# and refreshes BENCH_RIT.json (the committed perf trajectory).
+# (sorted, reference) and rewrites BENCH_RIT.json whole, so re-run the
+# `analyze`, `sentinel` and `arena` `--bench` merges afterwards.
 bench:
 	PYTHONPATH=src $(PY) -m repro bench --out BENCH_RIT.json
 
-# CI gate (<10s): tiny sorted+columnar workload through `rit bench
-# --smoke`, schema-validated (skipped-engine markers, columnar store
-# fields) without touching the committed BENCH_RIT.json.
+# CI gate (<10s): tiny sorted+reference workload through `rit bench
+# --smoke`, schema-validated (per-engine blocks, stage totals, speedup
+# keys) without touching the committed BENCH_RIT.json.
 bench-smoke:
 	PYTHONPATH=src $(PY) -m repro bench --smoke --out /tmp/rit_bench_smoke.json
 

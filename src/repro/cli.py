@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--engine", action="append",
-        choices=["sorted", "reference", "columnar"],
+        choices=["sorted", "reference"],
         help="measure only these engines (repeatable); the rest are "
         "recorded as skipped",
     )
@@ -196,9 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--smoke", action="store_true",
-        help="tiny columnar CI preset: run a small sorted+columnar "
-        "workload and schema-validate the document; nonzero exit on any "
-        "problem",
+        help="tiny CI preset: run a small sorted+reference workload and "
+        "schema-validate the document; nonzero exit on any problem",
     )
     p_bench.add_argument(
         "--out", default="BENCH_RIT.json", help="output JSON path"
@@ -263,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded fraction of joined users that withdraw",
     )
     p_serve.add_argument(
-        "--engine", choices=["sorted", "reference", "columnar"],
-        default="sorted",
+        "--engine", choices=["sorted", "reference"], default="sorted",
     )
     p_serve.add_argument(
         "--ledger", default=None,
@@ -622,7 +620,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             reps=2,
             seed=args.seed,
             scenario_seed=args.scenario_seed,
-            engines=("sorted", "columnar"),
+            engines=("sorted", "reference"),
         )
     else:
         kwargs = dict(
@@ -655,19 +653,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "speedup sorted vs reference: "
             f"{result['speedup_sorted_vs_reference']:.2f}x"
         )
-    if "speedup_columnar_vs_sorted" in result:
-        print(
-            "speedup columnar vs sorted: "
-            f"{result['speedup_columnar_vs_sorted']:.2f}x"
-        )
     if "speedup_vs_pre_pr" in result:
         print(f"speedup vs pre-engine baseline: {result['speedup_vs_pre_pr']:.2f}x")
-    for name, sub in result.get("scenarios", {}).items():
-        if "speedup_columnar_vs_sorted" in sub:
-            print(
-                f"scenario {name}: columnar vs sorted "
-                f"{sub['speedup_columnar_vs_sorted']:.2f}x"
-            )
     if args.smoke:
         problems = validate_bench_schema(result)
         if problems:
@@ -675,7 +662,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             for problem in problems:
                 print(f"  {problem}")
             return 1
-        print("bench smoke OK: columnar document is schema-valid")
+        print("bench smoke OK: document is schema-valid")
     print(f"written -> {args.out}")
     return 0
 

@@ -15,6 +15,10 @@ restores the paper's ``O(N·|J|)`` shape by doing the expensive work once:
   sum, and the smallest-``n_s`` selection is a prefix walk of alive sorted
   units instead of a fresh ``argsort``.
 
+This is ``RIT(engine="sorted")``, the default and only fast engine;
+``engine="reference"`` keeps the per-round rebuild as the oracle it is
+differentially tested against.
+
 RNG-compatibility contract
 --------------------------
 :func:`cra_presorted` consumes the *bit-identical* random stream of the
@@ -114,40 +118,6 @@ class SortedTypePool:
         rank[order] = np.arange(order.shape[0])
         self._rank = rank
         self._fenwick = FenwickTree(self.remaining[order])
-
-    # Covered by the caller's per-stage timers ('sample') and the epoch
-    # store's columnar_store_bytes counter.
-    @classmethod
-    def from_presorted(  # rit: noqa[RIT013]
-        cls,
-        uids: np.ndarray,
-        values: np.ndarray,
-        capacities: np.ndarray,
-        sorted_users: np.ndarray,
-        sorted_values: np.ndarray,
-        rank: np.ndarray,
-    ) -> "SortedTypePool":
-        """Build a pool from a precomputed stable value order.
-
-        Fast path for :class:`repro.core.columnar.ColumnarStore`, which
-        sorts every type block once per epoch: per-run pool construction
-        then costs one capacity copy plus the Fenwick build — no argsort.
-        ``sorted_users``/``sorted_values``/``rank`` must be exactly what
-        ``__init__`` would derive (``argsort(values, kind="stable")``);
-        the RNG-compatibility contract of :func:`cra_presorted` depends on
-        it.  The shared arrays may be read-only; only ``remaining`` (a
-        private copy) is ever mutated.
-        """
-        pool = cls.__new__(cls)
-        pool.uids = uids
-        pool.values = values
-        pool.remaining = capacities.copy()
-        pool._index = None
-        pool._sorted_users = sorted_users
-        pool._sorted_values = sorted_values
-        pool._rank = rank
-        pool._fenwick = FenwickTree(pool.remaining[sorted_users])
-        return pool
 
     # ------------------------------------------------------------------ #
     # Capacity state

@@ -47,17 +47,8 @@ The multi-round CRA loop has two interchangeable engines (``engine=``):
   are surfaced on :attr:`MechanismOutcome.stage_timings`.
 * ``"reference"`` — re-materialize and re-sort the unit pool every round
   (the direct transcription of Algorithm 1).
-* ``"columnar"`` — the struct-of-arrays core of
-  :mod:`repro.core.columnar`: a frozen per-epoch
-  :class:`~repro.core.columnar.ColumnarStore` precomputes the profile
-  arrays, per-type stable sort orders and the BFS/CSR tree arrays, so a
-  run is pure array work — pools come from
-  :meth:`~repro.core.engine.SortedTypePool.from_presorted` and payments
-  from :func:`repro.core.columnar.tree_payments_columnar`.  Callers that
-  amortize across runs (the epoch service, ``rit bench``) build the store
-  once and pass it via ``run(..., columnar_store=...)``.
 
-All engines consume the identical random stream and produce identical
+Both engines consume the identical random stream and produce identical
 outcomes for the same seed; differential tests enforce this.
 
 Observability
@@ -80,7 +71,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import bounds
-from repro.core.columnar import ColumnarStore, tree_payments_columnar
 from repro.core.cra import cra
 from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
 from repro.core.exceptions import (
@@ -109,10 +99,7 @@ __all__ = [
 
 BUDGET_POLICIES = ("lemma", "paper", "until-complete")
 
-ENGINES = ("sorted", "reference", "columnar")
-
-#: Engines that resolve rounds against a presorted pool and report stages.
-_PRESORTED_ENGINES = ("sorted", "columnar")
+ENGINES = ("sorted", "reference")
 
 #: One :meth:`RIT.run_type_shard` call's positional arguments:
 #: ``(tau, m_i, pool, k_max, num_types, rng)``.
@@ -165,9 +152,8 @@ class RIT(Mechanism):
         :func:`repro.core.cra.cra`); 1.0 is the paper's mechanism.
     engine:
         One of :data:`ENGINES` — ``"sorted"`` (incremental sorted engine,
-        default), ``"reference"`` (per-round rebuild) or ``"columnar"``
-        (struct-of-arrays epoch store); see the module docstring.
-        Outcomes are seed-for-seed identical across all three.
+        default) or ``"reference"`` (per-round rebuild); see the module
+        docstring.  Outcomes are seed-for-seed identical across both.
     rng_policy:
         One of :data:`RNG_POLICIES` — ``"stream"`` (one generator shared
         sequentially across types, default) or ``"per-type"`` (independent
@@ -283,31 +269,8 @@ class RIT(Mechanism):
         asks: Mapping[int, Ask],
         tree: IncentiveTree,
         rng: SeedLike = None,
-        *,
-        columnar_store: Optional[ColumnarStore] = None,
     ) -> MechanismOutcome:
-        store: Optional[ColumnarStore] = None
-        if self.engine == "columnar":
-            # Store construction performs the full profile validation; a
-            # caller-provided store (epoch service, bench) is checked for
-            # basic consistency with this run's profile.
-            store = columnar_store
-            if store is None:
-                if asks:
-                    store = ColumnarStore.build(job, asks, tree)
-                else:
-                    self._validate(job, asks, tree)
-            elif store.num_users != len(asks):
-                raise ConfigurationError(
-                    f"columnar store holds {store.num_users} users but the "
-                    f"profile has {len(asks)}; rebuild the store per epoch"
-                )
-        else:
-            if columnar_store is not None:
-                raise ConfigurationError(
-                    "columnar_store is only meaningful with engine='columnar'"
-                )
-            self._validate(job, asks, tree)
+        self._validate(job, asks, tree)
         tracer = self.tracer
         tracing = tracer.enabled
         clock = tracer.clock
@@ -326,23 +289,15 @@ class RIT(Mechanism):
                 num_types=job.num_types,
             )
             tracer.count("mechanism_runs")
-            if store is not None:
-                tracer.count(
-                    "columnar_store_bytes", store.nbytes, unit="bytes"
-                )
         t_start = clock()
 
         shards: List[TypeShardResult] = []
         if asks:
-            pool_of: Callable[[int], Optional[SortedTypePool]]
-            if store is not None:
-                k_max, pool_of = store.k_max, store.pool
-            else:
-                uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
-                k_max = int(cap_arr.max())
-                pool_of = pools_from_arrays(
-                    uid_arr, type_arr, val_arr, cap_arr
-                ).get
+            uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
+            k_max = int(cap_arr.max())
+            pool_of = pools_from_arrays(
+                uid_arr, type_arr, val_arr, cap_arr
+            ).get
             shards = [
                 self.run_type_shard(*task)
                 for task in self.shard_tasks(job, pool_of, k_max, rng)
@@ -357,7 +312,6 @@ class RIT(Mechanism):
             shards,
             started_at=t_start,
             auction_ended_at=t_auction,
-            columnar_store=store,
         )
         if not final.completed and self.raise_on_failure:
             # Algorithm 3 line 27 escalated: unwind spans, then raise.
@@ -393,9 +347,9 @@ class RIT(Mechanism):
         """The epoch's auction phase as :meth:`run_type_shard` argument tuples.
 
         One task per type with ``m_i > 0``, in ascending type order;
-        ``pool_of`` maps a type to its pool (``ColumnarStore.pool`` or a
-        ``pools_from_arrays(...)`` dict's ``get``) and ``k_max`` is the
-        profile's largest claimed capacity (the ``k_max`` override wins).
+        ``pool_of`` maps a type to its pool (a ``pools_from_arrays(...)``
+        dict's ``get``) and ``k_max`` is the profile's largest claimed
+        capacity (the ``k_max`` override wins).
         Under ``rng_policy="per-type"`` each task carries its own spawned
         ``SeedSequence``, so the tasks may run in any order or
         concurrently; under ``"stream"`` they share one generator and
@@ -432,8 +386,8 @@ class RIT(Mechanism):
         :class:`~repro.core.outcome.TypeShardResult` instead of mutating
         shared run state, so shards may execute concurrently (each with an
         independent ``rng`` stream — see :data:`RNG_POLICIES`) and be
-        merged afterwards by :meth:`join_shards`.  The presorted engines
-        time their stages on a private :class:`StageTimers` and return the
+        merged afterwards by :meth:`join_shards`.  The sorted engine
+        times its stages on a private :class:`StageTimers` and returns the
         totals as ``stage_seconds``.  ``group`` may be None when no user
         bids for the type (the shard is then trivially uncovered unless
         ``m_i`` is 0, which :meth:`shard_tasks` filters out).
@@ -443,9 +397,7 @@ class RIT(Mechanism):
         auction_payments: Dict[int, float] = {}
         rounds_log: List[RoundRecord] = []
         budget = self.budget_for(m_i, k_max, num_types)
-        # Both presorted engines resolve rounds against the pool's stable
-        # value order; "columnar" merely got the order from the epoch store.
-        use_presorted = self.engine in _PRESORTED_ENGINES
+        use_presorted = self.engine == "sorted"
         timers = StageTimers(clock=self.tracer.clock) if use_presorted else None
         tracer = self.tracer
         tracing = tracer.enabled
@@ -544,7 +496,6 @@ class RIT(Mechanism):
         *,
         started_at: float = 0.0,
         auction_ended_at: Optional[float] = None,
-        columnar_store: Optional[ColumnarStore] = None,
     ) -> MechanismOutcome:
         """Assemble a full :class:`MechanismOutcome` from per-type shards.
 
@@ -574,7 +525,7 @@ class RIT(Mechanism):
             rounds_log.extend(shard.rounds)
         covered_types = {s.task_type for s in shards if s.covered}
         stage_timings: Dict[str, float] = {}
-        if self.engine in _PRESORTED_ENGINES:
+        if self.engine == "sorted":
             stage_timings = {
                 stage: sum((s.stage_seconds.get(stage, 0.0) for s in shards), 0.0)
                 for stage in STAGE_NAMES
@@ -599,20 +550,12 @@ class RIT(Mechanism):
                 tracer.count("runs_voided")
             return outcome.void(elapsed_total=clock() - started_at)
         # Payment determination phase (lines 22-25).
-        if self.engine == "columnar" and asks:
-            store = columnar_store
-            if store is None:
-                store = ColumnarStore.build(job, asks, tree)
-            kept, num_nodes = tree_payments_columnar(
-                store, auction_payments, self.decay, tracer=tracer
-            )
-        else:
-            types = {uid: ask.task_type for uid, ask in asks.items()}
-            payments = tree_payments(
-                tree, auction_payments, types, decay=self.decay, tracer=tracer
-            )
-            kept = {uid: p for uid, p in payments.items() if not is_zero(p)}
-            num_nodes = len(payments)
+        types = {uid: ask.task_type for uid, ask in asks.items()}
+        payments = tree_payments(
+            tree, auction_payments, types, decay=self.decay, tracer=tracer
+        )
+        kept = {uid: p for uid, p in payments.items() if not is_zero(p)}
+        num_nodes = len(payments)
         final = outcome.finalize(
             payments=kept, elapsed_total=clock() - started_at
         )

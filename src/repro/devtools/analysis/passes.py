@@ -52,7 +52,6 @@ HOT_MODULES = (
     "repro.core.rit",
     "repro.core.engine",
     "repro.core.cra",
-    "repro.core.columnar",
     "repro.core.payments",
     "repro.service.workers",
     "repro.service.epochs",
@@ -70,19 +69,11 @@ _HOT_MIN_STATEMENTS = 8
 CONCURRENT_ROOT_MODULES = ("repro.service.workers",)
 
 #: Specific functions dispatched to worker threads from elsewhere.
-#: The columnar store hands each shard a pool view over its frozen
-#: epoch-scoped arrays, so everything reachable from ``pool()`` runs
-#: concurrently once the shards start.
-CONCURRENT_ROOT_FUNCTIONS = (
-    "repro.core.rit.RIT.run_type_shard",
-    "repro.core.columnar.ColumnarStore.pool",
-)
+CONCURRENT_ROOT_FUNCTIONS = ("repro.core.rit.RIT.run_type_shard",)
 
 #: Recognised single-writer roles for ``# rit: owner=<role>`` markers.
-#: ``epoch`` is the columnar-store convention: state built once per epoch
-#: before any shard worker can observe it, then treated as immutable for
-#: the epoch's lifetime (the store enforces this with ``writeable=False``
-#: arrays; per-run mutable capacity lives in each shard's private pool).
+#: ``epoch``: state built once per epoch before any shard worker can
+#: observe it, then treated as immutable for the epoch's lifetime.
 OWNER_ROLES = ("main-thread", "import-time-only", "epoch")
 
 #: id → (name, rationale) — surfaced by ``rit analyze --list-rules``.

@@ -9,20 +9,14 @@ performance trajectory:
 * per-engine wall-clock seconds (p50 / p95 / mean / min) and ops/sec over
   ``reps`` repetitions with distinct run seeds;
 * per-stage totals (sample / consensus / select / consume) for the
-  presorted engines, p50 / p95 across repetitions;
-* the sorted-vs-reference and columnar-vs-sorted speedups and the speedup
-  of the fastest measured presorted engine against the recorded pre-engine
-  baseline (:data:`PRE_PR_BASELINE`).
+  sorted engine, p50 / p95 across repetitions;
+* the sorted-vs-reference speedup and the sorted engine's speedup against
+  the recorded pre-engine baseline (:data:`PRE_PR_BASELINE`).
 
 Engines outside the requested subset (``rit bench --engine``) are recorded
 as ``{"skipped": true}`` so the document always lists the full registry —
 the 1M-user scenario must not drag the pure-Python reference engine
 through its repetitions just to stay schema-complete.
-
-The ``columnar`` engine is timed against a store built **once** before the
-repetitions (``run(..., columnar_store=...)``), matching the epoch
-service's amortization; the build cost and footprint are recorded on the
-engine document as ``store_build_seconds`` / ``store_bytes``.
 
 Larger workloads land in the document's ``scenarios`` section (one entry
 per :data:`SCENARIO_PRESETS` name via ``rit bench --scenario``), keeping
@@ -45,7 +39,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.columnar import ColumnarStore
 from repro.core.engine import STAGE_NAMES
 from repro.core.exceptions import ConfigurationError
 from repro.core.rit import ENGINES, RIT
@@ -71,13 +64,14 @@ BENCH_SCHEMA_VERSION = 1
 
 #: Wall-clock p50 of the 2k-user workload measured on the commit *before*
 #: the incremental sorted engine landed (full per-round argsort auction +
-#: node-at-a-time tree payments), interleaved with the new engine on the
-#: same machine (warmup + 25 reps, run seeds 0..24, scenario seed 2).
-#: Recorded here so every regenerated ``BENCH_RIT.json`` carries the
-#: before/after pair; see EXPERIMENTS.md ("Performance") for the protocol.
+#: node-at-a-time tree payments), alternated with ``rit bench`` runs on
+#: the host of the committed record (warmup + 25 reps, run seeds 0..24,
+#: scenario seed 2).  Recorded here so every regenerated
+#: ``BENCH_RIT.json`` carries the before/after pair; see EXPERIMENTS.md
+#: ("Performance") for the protocol.
 PRE_PR_BASELINE: Dict[str, Any] = {
-    "total_p50_seconds": 0.0113,
-    "auction_p50_seconds": 0.0042,
+    "total_p50_seconds": 0.0230,
+    "auction_p50_seconds": 0.0074,
     "commit": "1f8922f",
     "workload": "users=2000 types=10 tasks_per_type=100 until-complete",
 }
@@ -85,7 +79,7 @@ PRE_PR_BASELINE: Dict[str, Any] = {
 #: Named scale points for the document's ``scenarios`` section
 #: (``rit bench --scenario``).  The reference engine is skipped at scale —
 #: re-sorting the unit pool every round at 100k+ users contributes nothing
-#: to the trajectory the section tracks (columnar vs sorted).
+#: to the trajectory the section tracks (the sorted engine at scale).
 SCENARIO_PRESETS: Dict[str, Dict[str, Any]] = {
     "100k": {
         "users": 100_000,
@@ -94,7 +88,7 @@ SCENARIO_PRESETS: Dict[str, Dict[str, Any]] = {
         "reps": 5,
         "seed": 0,
         "scenario_seed": 2,
-        "engines": ("sorted", "columnar"),
+        "engines": ("sorted",),
         "round_budget": "until-complete",
     },
     "1m": {
@@ -104,7 +98,7 @@ SCENARIO_PRESETS: Dict[str, Dict[str, Any]] = {
         "reps": 3,
         "seed": 0,
         "scenario_seed": 2,
-        "engines": ("sorted", "columnar"),
+        "engines": ("sorted",),
         "round_budget": "until-complete",
     },
 }
@@ -163,9 +157,7 @@ def run_scaling_bench(
     numbers are comparable to :data:`PRE_PR_BASELINE`.
 
     Registry engines outside ``engines`` are recorded as
-    ``{"skipped": true}``.  The columnar engine runs against a store built
-    once before the repetitions (the epoch service's amortization); its
-    document carries ``store_build_seconds`` and ``store_bytes``.
+    ``{"skipped": true}``.
     """
     if reps <= 0:
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
@@ -191,22 +183,9 @@ def run_scaling_bench(
             engine_docs[engine] = {"skipped": True}
             continue
         mech = RIT(round_budget=round_budget, engine=engine)
-        store: Optional[ColumnarStore] = None
-        extra: Dict[str, Any] = {}
-        run_kwargs: Dict[str, Any] = {}
-        if engine == "columnar":
-            t_build = time.perf_counter()
-            store = ColumnarStore.build(job, asks, scenario.tree)
-            extra = {
-                "store_build_seconds": time.perf_counter() - t_build,
-                "store_bytes": store.nbytes,
-            }
-            run_kwargs["columnar_store"] = store
         # One untimed warmup run: first-call costs (allocator growth, numpy
         # ufunc caches) are not part of the steady-state trajectory.
-        mech.run(
-            job, asks, scenario.tree, np.random.default_rng(seed), **run_kwargs
-        )
+        mech.run(job, asks, scenario.tree, np.random.default_rng(seed))
         totals: List[float] = []
         auctions: List[float] = []
         stage_samples: Dict[str, List[float]] = {s: [] for s in STAGE_NAMES}
@@ -218,7 +197,6 @@ def run_scaling_bench(
                 asks,
                 scenario.tree,
                 np.random.default_rng(seed + rep),
-                **run_kwargs,
             )
             totals.append(time.perf_counter() - t0)
             auctions.append(out.elapsed_auction)
@@ -236,7 +214,6 @@ def run_scaling_bench(
                 for stage, samples in stage_samples.items()
                 if samples
             },
-            **extra,
         }
         engine_docs[engine] = doc
 
@@ -262,25 +239,15 @@ def run_scaling_bench(
 
     sorted_doc = _measured("sorted")
     reference_doc = _measured("reference")
-    columnar_doc = _measured("columnar")
     if sorted_doc is not None and reference_doc is not None:
         result["speedup_sorted_vs_reference"] = (
             reference_doc["seconds"]["p50"] / sorted_doc["seconds"]["p50"]
         )
-    if sorted_doc is not None and columnar_doc is not None:
-        result["speedup_columnar_vs_sorted"] = (
-            sorted_doc["seconds"]["p50"] / columnar_doc["seconds"]["p50"]
-        )
-    # The pre-PR ratio measures the repo's production fast path, which is
-    # whichever presorted engine is quickest on this box (columnar once it
-    # exists) — the reference engine is a correctness anchor, never a path.
-    fast_p50 = min(
-        (d["seconds"]["p50"] for d in (sorted_doc, columnar_doc) if d),
-        default=None,
-    )
-    if fast_p50 is not None:
+    # The pre-PR ratio measures the production fast path (the sorted
+    # engine); the reference engine is a correctness anchor, never a path.
+    if sorted_doc is not None:
         result["speedup_vs_pre_pr"] = (
-            PRE_PR_BASELINE["total_p50_seconds"] / fast_p50
+            PRE_PR_BASELINE["total_p50_seconds"] / sorted_doc["seconds"]["p50"]
         )
     return result
 
@@ -455,22 +422,10 @@ def _validate_engines_block(engines: Any, where: str) -> List[str]:
             for stage in stages:
                 if stage not in STAGE_NAMES:
                     errors.append(f"{prefix}.stages.{stage}: unknown stage")
-            if name in ("sorted", "columnar") and set(stages) != set(
-                STAGE_NAMES
-            ):
+            if name == "sorted" and set(stages) != set(STAGE_NAMES):
                 errors.append(
                     f"{prefix}.stages must cover all of {STAGE_NAMES}"
                 )
-        if name == "columnar":
-            build = engine_doc.get("store_build_seconds")
-            if not isinstance(build, float) or build < 0.0:
-                errors.append(
-                    f"{prefix}.store_build_seconds must be a "
-                    "non-negative float"
-                )
-            size = engine_doc.get("store_bytes")
-            if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
-                errors.append(f"{prefix}.store_bytes must be a positive int")
     if not measured:
         errors.append(f"{where}: every engine is skipped")
     return errors

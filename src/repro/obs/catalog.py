@@ -32,8 +32,6 @@ COUNTER_CATALOG: Dict[str, Tuple[str, str]] = {
     "zero_winner_rounds": ("count", "rounds that selected no winner"),
     "overflow_trims": ("count", "rounds that hit the Algorithm 1 line 13-16 trim"),
     "fenwick_rebuilds": ("count", "Fenwick capacity-state rebuilds (sorted engine)"),
-    # repro.core.columnar — epoch-scoped struct-of-arrays store
-    "columnar_store_bytes": ("bytes", "peak columnar-store footprint built for an epoch"),
     # repro.core.cra / repro.core.engine — sample stage (Algorithm 1 lines 2-4)
     "sample_units_drawn": ("count", "unit asks drawn into CRA price samples"),
     "empty_samples": ("count", "CRA rounds whose price sample was empty"),

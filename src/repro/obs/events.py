@@ -74,7 +74,7 @@ SPAN_LEVELS = ("run", "mechanism", "cra", "round")
 
 #: Legal values of a counter event's ``unit`` field.  ``"count"`` and
 #: ``"bytes"`` counters are exactly reproducible (bytes report
-#: deterministic memory footprints, e.g. the per-epoch columnar store);
+#: deterministic memory footprints);
 #: ``"seconds"`` counters are measured time and excluded from the
 #: canonical stream.
 COUNTER_UNITS = ("count", "seconds", "bytes")

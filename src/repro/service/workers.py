@@ -1,7 +1,9 @@
 """Per-type sharded auction workers and the epoch join stage.
 
 CRA (Algorithm 1) runs independently per task type, so an epoch's auction
-phase decomposes into one shard per type.  The shards are the tasks of
+phase decomposes into one shard per type.  The epoch first builds its
+per-type ask pools from the snapshot on the event loop
+(``profile_arrays`` + ``pools_from_arrays``).  The shards are the tasks of
 :meth:`repro.core.rit.RIT.shard_tasks` — the same tasks ``RIT.run``
 executes in order — and each runs
 :meth:`repro.core.rit.RIT.run_type_shard` on a thread-pool worker with
@@ -26,12 +28,10 @@ from __future__ import annotations
 import asyncio
 import functools
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.columnar import ColumnarStore
-from repro.core.engine import SortedTypePool
 from repro.core.outcome import MechanismOutcome, TypeShardResult
 from repro.core.rit import RIT, ShardTask, pools_from_arrays, profile_arrays
 from repro.core.types import Job
@@ -98,31 +98,15 @@ async def run_epoch(
     try:
         t_start = clock()
         asks = snapshot.asks
-        store: Optional[ColumnarStore] = None
         tasks: List[ShardTask] = []
         if asks:
-            pool_of: Callable[[int], Optional[SortedTypePool]]
-            if mechanism.engine == "columnar":
-                # The epoch-scoped store is built once (off the event
-                # loop) and shared read-only across all type shards; each
-                # shard's mutable capacity state lives in its own pool.
-                store = await loop.run_in_executor(
-                    executor,
-                    functools.partial(
-                        ColumnarStore.build, job, asks, snapshot.tree
-                    ),
-                )
-                if tracing:
-                    tracer.count(
-                        "columnar_store_bytes", store.nbytes, unit="bytes"
-                    )
-                k_max, pool_of = store.k_max, store.pool
-            else:
-                uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
-                k_max = int(cap_arr.max())
-                pool_of = pools_from_arrays(
-                    uid_arr, type_arr, val_arr, cap_arr
-                ).get
+            # Looked up in this module's globals on every epoch, so a
+            # caller can wrap them to time the per-epoch pool build.
+            uid_arr, type_arr, val_arr, cap_arr = profile_arrays(asks)
+            k_max = int(cap_arr.max())
+            pool_of = pools_from_arrays(
+                uid_arr, type_arr, val_arr, cap_arr
+            ).get
             tasks = mechanism.shard_tasks(job, pool_of, k_max, seed)
 
         pending: List[Tuple[int, NullTracer, "asyncio.Future[Tuple[TypeShardResult, float]]"]] = []
@@ -169,7 +153,6 @@ async def run_epoch(
                 shards,
                 started_at=t_start,
                 auction_ended_at=t_auction,
-                columnar_store=store,
             )
         finally:
             if tracing:

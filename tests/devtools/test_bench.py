@@ -29,9 +29,8 @@ class TestRunScalingBench:
         doc = run_scaling_bench(**TINY)
         assert validate_bench_schema(doc) == []
         assert doc["schema_version"] == BENCH_SCHEMA_VERSION
-        assert set(doc["engines"]) == {"sorted", "reference", "columnar"}
+        assert set(doc["engines"]) == {"sorted", "reference"}
         assert doc["speedup_sorted_vs_reference"] > 0.0
-        assert doc["speedup_columnar_vs_sorted"] > 0.0
         assert doc["speedup_vs_pre_pr"] > 0.0
         sorted_doc = doc["engines"]["sorted"]
         assert sorted_doc["completed_all_reps"] is True
@@ -44,11 +43,6 @@ class TestRunScalingBench:
         }
         # The reference engine reports no stage breakdown.
         assert doc["engines"]["reference"]["stages"] == {}
-        # The columnar engine reports its amortized store on the side.
-        columnar_doc = doc["engines"]["columnar"]
-        assert set(columnar_doc["stages"]) == set(sorted_doc["stages"])
-        assert columnar_doc["store_build_seconds"] >= 0.0
-        assert columnar_doc["store_bytes"] > 0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigurationError):
@@ -65,10 +59,10 @@ class TestRunScalingBench:
 
 class TestEngineSubsets:
     def test_unrequested_engines_marked_skipped(self):
-        doc = run_scaling_bench(**TINY, engines=("sorted", "columnar"))
+        doc = run_scaling_bench(**TINY, engines=("sorted",))
         assert doc["engines"]["reference"] == {"skipped": True}
         assert "speedup_sorted_vs_reference" not in doc
-        assert doc["speedup_columnar_vs_sorted"] > 0.0
+        assert doc["speedup_vs_pre_pr"] > 0.0
         assert validate_bench_schema(doc) == []
 
     def test_skipped_marker_must_carry_no_measurements(self):
@@ -86,10 +80,12 @@ class TestEngineSubsets:
             "every engine is skipped" in e for e in validate_bench_schema(doc)
         )
 
-    def test_columnar_without_store_fields_flagged(self):
-        doc = run_scaling_bench(**TINY, engines=("sorted", "columnar"))
-        del doc["engines"]["columnar"]["store_bytes"]
-        assert any("store_bytes" in e for e in validate_bench_schema(doc))
+    def test_sorted_without_every_stage_flagged(self):
+        doc = run_scaling_bench(**TINY, engines=("sorted",))
+        del doc["engines"]["sorted"]["stages"]["consume"]
+        assert any(
+            "sorted.stages must cover" in e for e in validate_bench_schema(doc)
+        )
 
 
 class TestScenarios:
@@ -97,7 +93,7 @@ class TestScenarios:
         assert SCENARIO_PRESETS["100k"]["users"] == 100_000
         assert SCENARIO_PRESETS["1m"]["users"] == 1_000_000
         for preset in SCENARIO_PRESETS.values():
-            assert set(preset["engines"]) == {"sorted", "columnar"}
+            assert tuple(preset["engines"]) == ("sorted",)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -435,7 +431,7 @@ class TestCLI:
                 "--types", "2",
                 "--tasks-per-type", "5",
                 "--reps", "2",
-                "--engine", "columnar",
+                "--engine", "reference",
                 "--out", str(out),
             ]
         )
@@ -443,8 +439,7 @@ class TestCLI:
         doc = json.loads(out.read_text())
         assert validate_bench_schema(doc) == []
         assert doc["engines"]["sorted"] == {"skipped": True}
-        assert doc["engines"]["reference"] == {"skipped": True}
-        assert doc["engines"]["columnar"]["store_bytes"] > 0
+        assert doc["engines"]["reference"]["completed_all_reps"] is True
         assert "skipped" in capsys.readouterr().out
 
     def test_bench_smoke_gates_on_schema(self, tmp_path, capsys):
@@ -453,8 +448,11 @@ class TestCLI:
         assert code == 0
         doc = json.loads(out.read_text())
         assert validate_bench_schema(doc) == []
-        assert doc["engines"]["reference"] == {"skipped": True}
-        assert "bench smoke OK" in capsys.readouterr().out
+        assert doc["engines"]["sorted"]["completed_all_reps"] is True
+        assert doc["engines"]["reference"]["completed_all_reps"] is True
+        stdout = capsys.readouterr().out
+        assert "speedup sorted vs reference" in stdout
+        assert "bench smoke OK: document is schema-valid" in stdout
 
 
 def test_write_bench_round_trips(tmp_path):

@@ -35,8 +35,8 @@ class TestFamilyName:
             == "rit_ingest_admit_seconds"
         )
         assert (
-            metric_family_name("columnar_store_bytes", "bytes")
-            == "rit_columnar_store_bytes"
+            metric_family_name("payload_bytes", "bytes")
+            == "rit_payload_bytes"
         )
 
     def test_non_suffix_units_untouched(self):
@@ -82,11 +82,11 @@ class TestFormat:
         assert "# TYPE rit_win_rate_depth1 gauge" in text
         assert "rit_win_rate_depth1 0.25" in text
 
-    def test_full_export_round_trips(self):
+    def test_full_export_round_trips(self, bytes_counter):
         text = format_openmetrics(
             counters={
                 "service_epochs_closed": {"value": 3, "unit": "count"},
-                "columnar_store_bytes": {"value": 4096, "unit": "bytes"},
+                bytes_counter: {"value": 4096, "unit": "bytes"},
             },
             histograms=sample_histograms(),
             gauges={
@@ -97,7 +97,7 @@ class TestFormat:
         families = parse_openmetrics(text)
         assert set(families) == {
             "rit_service_epochs_closed",
-            "rit_columnar_store_bytes",
+            "rit_payload_bytes",
             "rit_shard_run_seconds",
             "rit_ingest_queue_depth",
             "rit_referral_depth_max",

@@ -33,6 +33,7 @@ def events():
     return _traced_run().events
 
 
+
 class TestValidStreams:
     def test_real_run_is_valid(self, events):
         assert validate_trace_events(events) == []
@@ -47,27 +48,13 @@ class TestValidStreams:
                 tracer.count("cra_rounds")
         assert validate_trace_events(tracer.events) == []
 
-    def test_columnar_run_emits_a_valid_bytes_counter(self):
-        tracer = Tracer("col", seed=0, config={"users": 60})
-        job = Job.uniform(2, 5)
-        scenario = paper_scenario(
-            60, job, 0, distribution=UserDistribution(num_types=2)
-        )
-        mech = RIT(
-            round_budget="until-complete", engine="columnar", tracer=tracer
-        )
-        mech.run(job, scenario.truthful_asks(), scenario.tree, 0)
+    def test_cataloged_bytes_counter_is_valid(self, bytes_counter):
+        tracer = Tracer("b", seed=0, config={})
+        with tracer.run_span():
+            with tracer.span("mechanism"):
+                tracer.count(bytes_counter, 1_024, unit="bytes")
+                tracer.count(bytes_counter, 2_048, unit="bytes")
         assert validate_trace_events(tracer.events) == []
-        store_events = [
-            e
-            for e in tracer.events
-            if e.get("name") == "columnar_store_bytes"
-        ]
-        assert store_events
-        for event in store_events:
-            assert event["unit"] == "bytes"
-            assert isinstance(event["value"], int)
-            assert event["value"] > 0
 
     def test_file_roundtrip_is_valid(self, events, tmp_path):
         from repro.obs import write_jsonl
@@ -148,29 +135,25 @@ class TestCorruptions:
 
         assert any("running" in p for p in self._mutated(events, mutate))
 
-    def _bytes_stream(self):
+    def _bytes_stream(self, name):
         tracer = Tracer("b", seed=0, config={})
         with tracer.run_span():
             with tracer.span("mechanism"):
-                tracer.count("columnar_store_bytes", 512, unit="bytes")
+                tracer.count(name, 512, unit="bytes")
         return [copy.deepcopy(e) for e in tracer.events]
 
-    def test_float_bytes_delta_flagged(self):
-        events = self._bytes_stream()
-        target = [
-            e for e in events if e.get("name") == "columnar_store_bytes"
-        ][0]
+    def test_float_bytes_delta_flagged(self, bytes_counter):
+        events = self._bytes_stream(bytes_counter)
+        target = [e for e in events if e.get("name") == bytes_counter][0]
         target["delta"] = 512.0
         target["value"] = 512.0
         assert any(
             "must be ints" in p for p in validate_trace_events(events)
         )
 
-    def test_bytes_running_value_checked(self):
-        events = self._bytes_stream()
-        target = [
-            e for e in events if e.get("name") == "columnar_store_bytes"
-        ][0]
+    def test_bytes_running_value_checked(self, bytes_counter):
+        events = self._bytes_stream(bytes_counter)
+        target = [e for e in events if e.get("name") == bytes_counter][0]
         target["value"] = target["value"] + 7
         assert any("running" in p for p in validate_trace_events(events))
 

@@ -5,10 +5,8 @@ service must produce epoch outcomes *bit-identical* to running the plain
 offline ``RIT.run`` (``rng_policy="per-type"``) over the cumulative state
 at each epoch close — identical payments, winners, and round diagnostics
 (which pin the underlying RNG draws).  The seeded scenarios cover
-count-triggered and tick-triggered epochs, every registry engine, and
-withdrawal grafting mid-stream; the columnar service is additionally
-anchored against a *sorted*-engine offline replay, pinning the
-cross-engine RNG-stream contract end to end.
+count-triggered and tick-triggered epochs, both registry engines, and
+withdrawal grafting mid-stream.
 """
 
 import pytest
@@ -30,8 +28,8 @@ SCENARIOS = [
     pytest.param(5, 120, 3, 6, 32, None, 0.0, "sorted", id="seed5-count-sorted"),
     pytest.param(9, 200, 4, 8, 24, 40, 0.05, "sorted", id="seed9-ticks-sorted"),
     pytest.param(13, 150, 2, 10, 48, 25, 0.1, "reference", id="seed13-ticks-reference"),
-    pytest.param(17, 180, 3, 7, 28, None, 0.08, "columnar", id="seed17-count-columnar"),
-    pytest.param(23, 140, 4, 6, 30, 35, 0.12, "columnar", id="seed23-ticks-columnar"),
+    pytest.param(17, 180, 3, 7, 28, None, 0.08, "sorted", id="seed17-count-sorted"),
+    pytest.param(23, 140, 4, 6, 30, 35, 0.12, "sorted", id="seed23-ticks-sorted"),
 ]
 
 
@@ -80,45 +78,6 @@ def test_sharded_service_is_bit_identical_to_offline_replay(
     assert [batch.num_events for batch, _ in replayed] == [
         epoch.batch_events for epoch in report.epochs
     ]
-
-
-def test_columnar_service_matches_sorted_offline_replay():
-    """Cross-engine anchor: the columnar epoch pipeline (shared store,
-    per-shard pools) must consume the exact RNG stream the sorted engine
-    would, so a sorted offline replay reproduces it bit for bit."""
-    seed = 21
-    scenario_rng, stream_rng = spawn_seeds(seed, 2)
-    scenario = build_scenario(160, 3, 6, scenario_rng)
-    events = scenario_event_stream(
-        scenario, stream_rng, withdraw_fraction=0.1
-    )
-    config = ServiceConfig(seed=seed, epoch_max_events=36)
-    service = MechanismService(
-        RIT(
-            engine="columnar",
-            rng_policy="per-type",
-            round_budget="until-complete",
-        ),
-        scenario.job,
-        config,
-    )
-    report = service.serve_stream(events)
-    assert len(report.epochs) >= 3
-    replayed = replay_outcomes(
-        report.consumed,
-        scenario.job,
-        RIT(
-            engine="sorted",
-            rng_policy="per-type",
-            round_budget="until-complete",
-        ),
-        seed=seed,
-        policy=config.policy(),
-    )
-    problems = differential_check(
-        report.outcomes(), [outcome for _, outcome in replayed]
-    )
-    assert problems == []
 
 
 def test_differential_check_reports_mismatches():
