@@ -27,7 +27,7 @@ from repro.core.bounds import (
     rit_truthful_probability,
 )
 from repro.core.cra import CRAResult, cra
-from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
+from repro.core.engine import SortedTypePool, cra_presorted
 from repro.core.exceptions import (
     AllocationError,
     AttackError,
@@ -67,7 +67,6 @@ __all__ = [
     "cra",
     "cra_presorted",
     "SortedTypePool",
-    "StageTimers",
     "FenwickTree",
     "RIT",
     "BUDGET_POLICIES",

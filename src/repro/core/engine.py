@@ -30,15 +30,14 @@ the winner subsample.  Differential tests
 (``tests/core/test_engine.py``) assert that every :class:`CRAResult`
 field matches the reference exactly, seed by seed.
 
-Stage timing
-------------
-Passing a :class:`repro.obs.StageTimers` accumulates monotonic-clock
-seconds for the ``sample`` / ``consensus`` / ``select`` stages (plus
-``consume``, which the caller times around capacity updates) — all read
-through the timers' injected clock, never ``time.*`` directly (lint rule
-RIT007).  :class:`repro.core.rit.RIT` surfaces the totals on
-:attr:`repro.core.outcome.MechanismOutcome.stage_timings` and ``rit
-bench`` turns them into the ``BENCH_RIT.json`` trajectory.
+Stage spans
+-----------
+With an enabled tracer, every round opens ``sample`` (Algorithm 1 lines
+2-4), ``consensus`` (line 5) and ``select`` (lines 6-19) spans, and
+:meth:`repro.core.rit.RIT.run_type_shard` wraps the capacity update in a
+``consume`` span — :data:`STAGE_NAMES`.  The tracer is the only clock
+(lint rule RIT007); ``rit bench`` totals these spans by name
+(:func:`repro.obs.span_seconds`) for its ``stages`` block.
 """
 
 from __future__ import annotations
@@ -53,10 +52,12 @@ from repro.core.cra import CRAResult, _empty_result
 from repro.core.exceptions import ConfigurationError, ModelError
 from repro.core.fenwick import FenwickTree
 from repro.core.rng import SeedLike, as_generator
-from repro.obs.timers import STAGE_NAMES, StageTimers
 from repro.obs.tracer import NullTracer
 
-__all__ = ["STAGE_NAMES", "StageTimers", "SortedTypePool", "cra_presorted"]
+__all__ = ["STAGE_NAMES", "SortedTypePool", "cra_presorted"]
+
+#: The sorted engine's per-round stage spans, in pipeline order.
+STAGE_NAMES = ("sample", "consensus", "select", "consume")
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -147,8 +148,7 @@ class SortedTypePool:
             np.array([self._position_of(int(u)) for u in uids], dtype=np.int64)
         )
 
-    # Covered by the caller's per-stage timers ('consume'); a span per
-    # round-level batch would swamp the event log.
+    # Covered by the caller's 'consume' span.
     def consume_positions(self, positions: np.ndarray) -> None:  # rit: noqa[RIT013]
         """Consume one unit per entry of ``positions`` (original-order index).
 
@@ -202,7 +202,7 @@ class SortedTypePool:
         k = int(np.searchsorted(self._sorted_values, value, side="right"))
         return self._fenwick.prefix(k)
 
-    # Covered by the caller's per-stage timers ('select').
+    # Covered by cra_presorted's 'select' span.
     def smallest_units(  # rit: noqa[RIT013]
         self, count: int, bounds: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -230,7 +230,6 @@ def cra_presorted(
     rng: SeedLike = None,
     *,
     sample_rate_scale: float = 1.0,
-    timers: Optional[StageTimers] = None,
     tracer: Optional[NullTracer] = None,
 ) -> CRAResult:
     """Run one CRA round (Algorithm 1) against a presorted pool.
@@ -241,9 +240,9 @@ def cra_presorted(
     Winner indices refer to this round's unit pool; translate them with
     :meth:`SortedTypePool.unit_owners` *before* consuming capacity.
 
-    ``timers`` accumulates per-stage seconds on its injected clock;
-    ``tracer`` (when enabled) receives the sample-stage counters — both
-    are optional and add no per-unit work when omitted.
+    ``tracer`` (when enabled) receives the ``sample`` / ``consensus`` /
+    ``select`` spans and the sample-stage counters; it is optional and
+    adds no per-unit work when omitted.
     """
     if q <= 0:
         raise ConfigurationError(f"q must be >= 1, got {q}")
@@ -255,43 +254,43 @@ def cra_presorted(
         )
     gen = as_generator(rng)
     cap = q + m_i
-    clock = timers.clock if timers is not None else None
     tracing = tracer is not None and tracer.enabled
+    sid = -1
 
     # Sample stage (lines 2-4): offset plus one uniform per alive unit, in
     # original unit-pool order — the draws the reference makes.
-    t0 = clock() if clock is not None else 0.0
+    if tracing:
+        sid = tracer.begin("sample")
     offset = float(gen.uniform(0.0, 1.0))
     rate = min(1.0, sample_rate_scale / cap)
     mask = gen.random(pool.total_remaining()) < rate
     sample = np.flatnonzero(mask)
-    if tracing:
-        tracer.count("sample_units_drawn", int(sample.size))
     if sample.size == 0:
-        if clock is not None:
-            timers.sample += clock() - t0
         if tracing:
+            tracer.end(sid)
+            tracer.count("sample_units_drawn", 0)
             tracer.count("empty_samples")
         return _empty_result(offset, sample)
     bounds = pool.round_bounds()
     s = float(pool.values[pool.unit_user_positions(sample, bounds)].min())
-    t1 = clock() if clock is not None else 0.0
 
     # Consensus stage (line 5): z_s from the Fenwick prefix over the
     # presorted values instead of a linear scan.
+    if tracing:
+        tracer.end(sid)
+        tracer.count("sample_units_drawn", int(sample.size))
+        sid = tracer.begin("consensus")
     z_s = pool.alive_at_most(s)
     n_s_real = consensus.round_down_to_grid(float(z_s), offset)
     n_s = int(math.floor(n_s_real))
-    if clock is not None:
-        t2 = clock()
-        timers.sample += t1 - t0
-        timers.consensus += t2 - t1
-    else:
-        t2 = 0.0
+    if tracing:
+        tracer.end(sid)
     if n_s <= 0:
         return _empty_result(offset, sample)
 
     # Select stage (lines 6-19): prefix walk of the alive sorted units.
+    if tracing:
+        sid = tracer.begin("select")
     chosen, chosen_values = pool.smallest_units(n_s, bounds)
     overflow = False
     if n_s > cap:
@@ -299,8 +298,8 @@ def cra_presorted(
         chosen = chosen[keep]
         chosen_values = chosen_values[keep]
         if chosen.size == 0:
-            if clock is not None:
-                timers.select += clock() - t2
+            if tracing:
+                tracer.end(sid)
             return _empty_result(offset, sample)
     if chosen.size > cap:
         # ``chosen`` is already in (value, unit-position) order, so the
@@ -311,8 +310,8 @@ def cra_presorted(
     if chosen.size > q:
         chosen = gen.choice(chosen, size=q, replace=False)
     winners = np.sort(chosen.astype(np.int64))
-    if clock is not None:
-        timers.select += clock() - t2
+    if tracing:
+        tracer.end(sid)
     return CRAResult(
         winners=winners,
         price=s,

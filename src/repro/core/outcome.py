@@ -58,11 +58,6 @@ class TypeShardResult:
         type's participants.
     rounds:
         Per-round diagnostics, in execution order.
-    stage_seconds:
-        This shard's per-stage engine seconds (empty for the reference
-        engine); :meth:`RIT.join_shards` sums them into
-        :attr:`MechanismOutcome.stage_timings`.  Timings are measurements,
-        not results, so they take no part in equality.
     """
 
     task_type: int
@@ -70,7 +65,6 @@ class TypeShardResult:
     allocation: Dict[int, int]
     auction_payments: Dict[int, float]
     rounds: Tuple[RoundRecord, ...]
-    stage_seconds: Dict[str, float] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -102,19 +96,9 @@ class MechanismOutcome:
     elapsed_auction / elapsed_total:
         Seconds spent in the auction phase and in the whole mechanism (the
         Fig. 8 metrics), measured on the mechanism tracer's injected
-        monotonic clock (:mod:`repro.obs`).
-    stage_timings:
-        Per-stage engine seconds
-        (``sample`` / ``consensus`` / ``select`` / ``consume``), aggregated
-        over all CRA rounds: the sum of the shards'
-        :attr:`TypeShardResult.stage_seconds`.  This is a *view derived
-        from the trace clock*: each shard accumulates on its own
-        :class:`repro.obs.StageTimers` (driven by the tracer's clock) and,
-        when a recording tracer is attached, the same totals are emitted
-        into the event stream as ``stage_seconds/<stage>`` counters — the
-        field and the trace never disagree.  Populated by the incremental
-        sorted engine (see :mod:`repro.core.engine`); empty for
-        mechanisms/engines that do not report stages.
+        monotonic clock (:mod:`repro.obs`).  They are measurements, not
+        results, so they take no part in equality; per-stage times are
+        tracer spans (:mod:`repro.core.engine`).
     """
 
     allocation: Dict[int, int] = field(default_factory=dict)
@@ -122,9 +106,8 @@ class MechanismOutcome:
     payments: Dict[int, float] = field(default_factory=dict)
     completed: bool = True
     rounds: List[RoundRecord] = field(default_factory=list)
-    elapsed_auction: float = 0.0
-    elapsed_total: float = 0.0
-    stage_timings: Dict[str, float] = field(default_factory=dict)
+    elapsed_auction: float = field(default=0.0, compare=False)
+    elapsed_total: float = field(default=0.0, compare=False)
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -231,7 +214,6 @@ class MechanismOutcome:
             elapsed_total=(
                 self.elapsed_total if elapsed_total is None else elapsed_total
             ),
-            stage_timings=dict(self.stage_timings),
         )
 
     def check_covers(self, job: Job) -> bool:

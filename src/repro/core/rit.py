@@ -43,8 +43,9 @@ The multi-round CRA loop has two interchangeable engines (``engine=``):
 * ``"sorted"`` *(default)* — the incremental sorted engine of
   :mod:`repro.core.engine`: each per-type pool is sorted once, remaining
   capacity is tracked in a Fenwick tree across rounds, and every round is
-  resolved by prefix queries instead of a fresh sort.  Per-stage timings
-  are surfaced on :attr:`MechanismOutcome.stage_timings`.
+  resolved by prefix queries instead of a fresh sort.  With an enabled
+  tracer each round carries ``sample`` / ``consensus`` / ``select`` /
+  ``consume`` stage spans.
 * ``"reference"`` — re-materialize and re-sort the unit pool every round
   (the direct transcription of Algorithm 1).
 
@@ -72,7 +73,7 @@ import numpy as np
 
 from repro.core import bounds
 from repro.core.cra import cra
-from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
+from repro.core.engine import SortedTypePool, cra_presorted
 from repro.core.exceptions import (
     AllocationError,
     ConfigurationError,
@@ -84,7 +85,6 @@ from repro.core.outcome import MechanismOutcome, RoundRecord, TypeShardResult
 from repro.core.payments import DEFAULT_DECAY, tree_payments
 from repro.core.rng import SeedLike, as_generator, spawn_seeds
 from repro.core.types import Ask, Job
-from repro.obs.timers import STAGE_NAMES
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.tree.incentive_tree import IncentiveTree
 
@@ -324,10 +324,6 @@ class RIT(Mechanism):
                 f"round budget (policy={self.round_budget!r})"
             )
         if tracing:
-            for stage, seconds in final.stage_timings.items():
-                tracer.count(
-                    "stage_seconds/" + stage, seconds, unit="seconds"
-                )
             tracer.end(mech_sid)
             if owns_run:
                 tracer.end(run_sid)
@@ -386,11 +382,10 @@ class RIT(Mechanism):
         :class:`~repro.core.outcome.TypeShardResult` instead of mutating
         shared run state, so shards may execute concurrently (each with an
         independent ``rng`` stream — see :data:`RNG_POLICIES`) and be
-        merged afterwards by :meth:`join_shards`.  The sorted engine
-        times its stages on a private :class:`StageTimers` and returns the
-        totals as ``stage_seconds``.  ``group`` may be None when no user
-        bids for the type (the shard is then trivially uncovered unless
-        ``m_i`` is 0, which :meth:`shard_tasks` filters out).
+        merged afterwards by :meth:`join_shards`.  ``group`` may be None
+        when no user bids for the type (the shard is then trivially
+        uncovered unless ``m_i`` is 0, which :meth:`shard_tasks` filters
+        out).
         """
         gen = as_generator(rng)
         allocation: Dict[int, int] = {}
@@ -398,7 +393,6 @@ class RIT(Mechanism):
         rounds_log: List[RoundRecord] = []
         budget = self.budget_for(m_i, k_max, num_types)
         use_presorted = self.engine == "sorted"
-        timers = StageTimers(clock=self.tracer.clock) if use_presorted else None
         tracer = self.tracer
         tracing = tracer.enabled
         cra_sid = -1
@@ -421,10 +415,8 @@ class RIT(Mechanism):
                     m_i,
                     gen,
                     sample_rate_scale=self.sample_rate_scale,
-                    timers=timers,
                     tracer=tracer,
                 )
-                t_consume = timers.clock() if timers is not None else 0.0
                 winner_positions = group.unit_user_positions(
                     result.winners, group.round_bounds()
                 )
@@ -454,12 +446,14 @@ class RIT(Mechanism):
                     auction_payments.get(uid, 0.0) + result.price
                 )
             if use_presorted:
+                if tracing:
+                    consume_sid = tracer.begin("consume")
                 group.consume_positions(winner_positions)
+                if tracing:
+                    tracer.end(consume_sid)
             else:
                 group.consume_many(winner_uids)
             q -= result.num_winners
-            if timers is not None:
-                timers.consume += timers.clock() - t_consume
             if tracing:
                 tracer.count("cra_rounds")
                 if result.num_winners:
@@ -484,7 +478,6 @@ class RIT(Mechanism):
             allocation=allocation,
             auction_payments=auction_payments,
             rounds=tuple(rounds_log),
-            stage_seconds=timers.as_dict() if timers is not None else {},
         )
 
     def join_shards(
@@ -524,12 +517,6 @@ class RIT(Mechanism):
             auction_payments.update(shard.auction_payments)
             rounds_log.extend(shard.rounds)
         covered_types = {s.task_type for s in shards if s.covered}
-        stage_timings: Dict[str, float] = {}
-        if self.engine == "sorted":
-            stage_timings = {
-                stage: sum((s.stage_seconds.get(stage, 0.0) for s in shards), 0.0)
-                for stage in STAGE_NAMES
-            }
         completed = all(
             job.tasks_of(tau) == 0 or tau in covered_types
             for tau in job.types()
@@ -542,7 +529,6 @@ class RIT(Mechanism):
             completed=completed,
             rounds=rounds_log,
             elapsed_auction=end - started_at,
-            stage_timings=stage_timings,
         )
         if not completed:
             # Algorithm 3 line 27: void everything.
@@ -593,7 +579,7 @@ class RIT(Mechanism):
                 )
 
 
-# One O(N) flatten per run, timed inside the caller's 'sample' stage.
+# One O(N) flatten per run, timed inside the caller's span.
 def profile_arrays(  # rit: noqa[RIT013]
     asks: Mapping[int, Ask],
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":

@@ -9,7 +9,10 @@ performance trajectory:
 * per-engine wall-clock seconds (p50 / p95 / mean / min) and ops/sec over
   ``reps`` repetitions with distinct run seeds;
 * per-stage totals (sample / consensus / select / consume) for the
-  sorted engine, p50 / p95 across repetitions;
+  sorted engine, p50 / p95 across repetitions.  The timed repetitions run
+  untraced; the stage totals come from a second, traced set of the same
+  repetitions, summed from the stage spans by
+  :func:`repro.obs.span_seconds`;
 * the sorted-vs-reference speedup and the sorted engine's speedup against
   the recorded pre-engine baseline (:data:`PRE_PR_BASELINE`).
 
@@ -43,6 +46,7 @@ from repro.core.engine import STAGE_NAMES
 from repro.core.exceptions import ConfigurationError
 from repro.core.rit import ENGINES, RIT
 from repro.core.types import Job
+from repro.obs import Tracer, span_seconds
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
 
@@ -188,7 +192,6 @@ def run_scaling_bench(
         mech.run(job, asks, scenario.tree, np.random.default_rng(seed))
         totals: List[float] = []
         auctions: List[float] = []
-        stage_samples: Dict[str, List[float]] = {s: [] for s in STAGE_NAMES}
         completed = True
         for rep in range(reps):
             t0 = time.perf_counter()
@@ -201,9 +204,21 @@ def run_scaling_bench(
             totals.append(time.perf_counter() - t0)
             auctions.append(out.elapsed_auction)
             completed = completed and out.completed
-            for stage in STAGE_NAMES:
-                if stage in out.stage_timings:
-                    stage_samples[stage].append(out.stage_timings[stage])
+        # Stage times are span totals of a separate traced pass over the
+        # same run seeds, so tracing never inflates the timed numbers.
+        stage_samples: Dict[str, List[float]] = {s: [] for s in STAGE_NAMES}
+        for rep in range(reps):
+            tracer = Tracer(f"bench-{engine}-{rep}")
+            mech.with_tracer(tracer).run(
+                job,
+                asks,
+                scenario.tree,
+                np.random.default_rng(seed + rep),
+            )
+            spans = span_seconds(tracer.events)
+            for stage, samples in stage_samples.items():
+                if stage in spans:
+                    samples.append(spans[stage])
         doc: Dict[str, Any] = {
             "completed_all_reps": completed,
             "seconds": _summary(totals),
@@ -419,9 +434,17 @@ def _validate_engines_block(engines: Any, where: str) -> List[str]:
         if not isinstance(stages, dict):
             errors.append(f"{prefix}.stages is not an object")
         else:
-            for stage in stages:
+            for stage, summary in stages.items():
                 if stage not in STAGE_NAMES:
                     errors.append(f"{prefix}.stages.{stage}: unknown stage")
+                elif not (
+                    isinstance(summary, dict)
+                    and isinstance(summary.get("p50"), float)
+                    and summary["p50"] > 0.0
+                ):
+                    errors.append(
+                        f"{prefix}.stages.{stage}.p50 must be a positive float"
+                    )
             if name == "sorted" and set(stages) != set(STAGE_NAMES):
                 errors.append(
                     f"{prefix}.stages must cover all of {STAGE_NAMES}"

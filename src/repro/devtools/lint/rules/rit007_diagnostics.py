@@ -1,9 +1,8 @@
 """RIT007 — raw diagnostics and ad-hoc buckets in instrumented modules.
 
 The modules instrumented by :mod:`repro.obs` read time exclusively
-through the tracer's injected clock (``tracer.clock`` /
-``StageTimers.clock``) and report progress exclusively through spans and
-counters.  A direct ``time.*`` call — *including* the monotonic readers
+through the tracer's injected clock (``tracer.clock``) and report
+progress exclusively through spans and counters.  A direct ``time.*`` call — *including* the monotonic readers
 RIT005 permits elsewhere in core — bypasses the injected clock, so traced
 and untraced runs would measure different things; a bare ``print(`` is a
 diagnostic that escapes the event sink entirely and cannot be replayed or
@@ -169,8 +168,8 @@ class RawDiagnostics(Rule):
                         ctx,
                         child,
                         f"'{resolved}' bypasses the injected monotonic "
-                        "clock; read time via tracer.clock / "
-                        "StageTimers.clock instead",
+                        "clock; time the work with a tracer span or "
+                        "read tracer.clock instead",
                     )
                     continue  # don't double-report the inner chain
             yield from self._visit(ctx, child, imports)

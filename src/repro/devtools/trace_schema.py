@@ -3,8 +3,8 @@
 Dependency-free structural validation of :mod:`repro.obs` event streams.
 ``validate_trace_events`` returns a list of human-readable problems
 (empty means valid); ``check_coverage`` additionally enforces the ``rit
-trace --smoke`` gate — the span hierarchy levels and a minimum number of
-distinct deterministic counters.
+trace --smoke`` gate — the span hierarchy levels, the sorted engine's
+stage spans and a minimum number of distinct counters.
 
 Checks performed:
 
@@ -14,8 +14,9 @@ Checks performed:
 * well-formed spans: unique ids, parents already started, strictly
   nested (LIFO) close order, matching names on close;
 * well-formed counters: cataloged names (:mod:`repro.obs.catalog`),
-  legal units, per-counter running ``value`` consistent with the
-  ``delta`` sequence, owning span open at emission time;
+  unit ``"count"``, int deltas and a per-counter running ``value``
+  consistent with the ``delta`` sequence, owning span open at emission
+  time;
 * well-formed distributions: cataloged metric names
   (:mod:`repro.obs.metrics`), units and volatility flags matching the
   spec, histogram bucket indices recomputed against the registry's fixed
@@ -28,7 +29,8 @@ from __future__ import annotations
 from numbers import Number
 from typing import Any, Dict, Iterable, List, Mapping, Sequence, Set
 
-from repro.obs.catalog import describe_counter
+from repro.core.engine import STAGE_NAMES
+from repro.obs.catalog import COUNTER_CATALOG
 from repro.obs.events import (
     COUNTER_UNITS,
     DISTRIBUTION_UNITS,
@@ -74,7 +76,6 @@ def validate_trace_events(events: Sequence[Mapping[str, Any]]) -> List[str]:
     stack: List[int] = []
     names: Dict[int, str] = {}
     totals: Dict[str, Any] = {}
-    units: Dict[str, str] = {}
     for pos, event in enumerate(events):
         where = f"event {pos}"
         if event.get("i") != pos:
@@ -133,31 +134,15 @@ def validate_trace_events(events: Sequence[Mapping[str, Any]]) -> List[str]:
             if unit not in COUNTER_UNITS:
                 problems.append(f"{where}: counter unit {unit!r} not in {COUNTER_UNITS}")
                 continue
-            spec = describe_counter(name)
-            if spec is None:
+            if name not in COUNTER_CATALOG:
                 problems.append(f"{where}: counter {name!r} is not cataloged")
-            elif spec[0] != unit:
-                problems.append(
-                    f"{where}: counter {name!r} unit {unit!r} != cataloged {spec[0]!r}"
-                )
             delta = event.get("delta")
             value = event.get("value")
-            if not isinstance(delta, Number) or not isinstance(value, Number):
-                problems.append(f"{where}: counter delta/value must be numbers")
+            if not (_is_int(delta) and _is_int(value)):
+                problems.append(f"{where}: counter delta/value must be ints")
                 continue
-            if unit in ("count", "bytes") and not (
-                _is_int(delta) and _is_int(value)
-            ):
-                problems.append(
-                    f"{where}: {unit}-unit deltas/values must be ints"
-                )
-            known = units.setdefault(name, unit)
-            if known != unit:
-                problems.append(
-                    f"{where}: counter {name!r} switched unit {known!r} -> {unit!r}"
-                )
             expected = totals.get(name, 0) + delta
-            if unit in ("count", "bytes") and value != expected:
+            if value != expected:
                 problems.append(
                     f"{where}: counter {name!r} value {value} != running {expected}"
                 )
@@ -265,7 +250,7 @@ def trace_coverage(
 def check_coverage(
     events: Sequence[Mapping[str, Any]],
     *,
-    require_spans: Sequence[str] = SPAN_LEVELS,
+    require_spans: Sequence[str] = SPAN_LEVELS + STAGE_NAMES,
     min_counters: int = 6,
 ) -> List[str]:
     """The ``rit trace --smoke`` gate, on top of structural validity."""
@@ -274,12 +259,10 @@ def check_coverage(
     missing = [name for name in require_spans if name not in seen["span_names"]]
     if missing:
         problems.append(f"missing required span levels: {missing}")
-    deterministic = [
-        name for name, unit in seen["counters"].items() if unit == "count"
-    ]
-    if len(deterministic) < min_counters:
+    counters = sorted(seen["counters"])
+    if len(counters) < min_counters:
         problems.append(
-            f"only {len(deterministic)} distinct count-unit counters "
-            f"({sorted(deterministic)}); need >= {min_counters}"
+            f"only {len(counters)} distinct count-unit counters "
+            f"({counters}); need >= {min_counters}"
         )
     return problems

@@ -1,8 +1,8 @@
 """Run-scoped tracing and metrics for the reproduction (`repro.obs`).
 
 The observability layer records what a mechanism run *did* — hierarchical
-spans (``run → mechanism → cra → round``), monotonic counters, stage
-timings — into a JSONL event stream keyed by seed + config hash, so any
+spans (``run → mechanism → cra → round → stage``) and monotonic
+counters — into a JSONL event stream keyed by seed + config hash, so any
 run is replayable and diffable (see ``docs/observability.md``).
 
 Entry points
@@ -12,8 +12,8 @@ Entry points
   injected.
 * :class:`Tracer` — records events; ``write_jsonl`` persists them,
   ``absorb`` merges per-worker sinks deterministically.
-* :class:`StageTimers` — per-stage accumulator on the injected clock
-  (migrated here from ``repro.core.engine``).
+* :func:`span_seconds` — total span durations by name: counters count,
+  spans time, so every duration is read from spans.
 * :mod:`repro.obs.events` — the schema; :mod:`repro.obs.catalog` — the
   counter contract; :mod:`repro.obs.metrics` — deterministic histograms
   and gauges (the live-metrics contract); :mod:`repro.obs.openmetrics` —
@@ -25,12 +25,7 @@ This package is imported *by* ``repro.core`` and therefore depends only
 on the standard library.
 """
 
-from repro.obs.catalog import (
-    COUNTER_CATALOG,
-    COUNTER_FAMILIES,
-    catalog_markdown_table,
-    describe_counter,
-)
+from repro.obs.catalog import COUNTER_CATALOG, catalog_markdown_table
 from repro.obs.events import (
     COUNTER_UNITS,
     DISTRIBUTION_UNITS,
@@ -40,6 +35,7 @@ from repro.obs.events import (
     canonical_events,
     config_hash,
     read_jsonl,
+    span_seconds,
     write_jsonl,
 )
 from repro.obs.metrics import (
@@ -59,15 +55,12 @@ from repro.obs.openmetrics import (
     parse_openmetrics,
 )
 from repro.obs.render import format_metrics_json, format_prometheus, render_span_tree
-from repro.obs.timers import STAGE_NAMES, Clock, StageTimers
-from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, Clock, NullTracer, Tracer
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Tracer",
-    "StageTimers",
-    "STAGE_NAMES",
     "Clock",
     "TRACE_SCHEMA_VERSION",
     "EVENT_KINDS",
@@ -76,12 +69,11 @@ __all__ = [
     "DISTRIBUTION_UNITS",
     "config_hash",
     "canonical_events",
+    "span_seconds",
     "write_jsonl",
     "read_jsonl",
     "COUNTER_CATALOG",
-    "COUNTER_FAMILIES",
     "catalog_markdown_table",
-    "describe_counter",
     "BUCKET_FAMILIES",
     "METRIC_CATALOG",
     "METRIC_FAMILIES",

@@ -34,13 +34,17 @@ Merged worker events (see :mod:`repro.simulation.parallel`) additionally
 carry ``rep`` (submission index) and ``w`` (logical worker slot); both are
 deterministic for a fixed configuration.
 
+Counters count, spans time: every counter has unit ``"count"`` and an
+int delta, and every duration is a span (:func:`span_seconds` totals
+them by name).
+
 Determinism contract
 --------------------
-:func:`canonical_events` drops ``t`` and the measured values of
-``"seconds"``-unit counters; everything that remains — event order, span
-topology, attributes, count- and bytes-unit counter values — must be
-identical across reruns with the same seed and configuration.  The
-golden-trace tests enforce exactly this.
+:func:`canonical_events` drops ``t`` and the measured values of volatile
+distributions; everything that remains — event order, span topology,
+attributes, counter values — must be identical across reruns with the
+same seed and configuration.  The golden-trace tests enforce exactly
+this.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "DISTRIBUTION_UNITS",
     "config_hash",
     "canonical_events",
+    "span_seconds",
     "write_jsonl",
     "read_jsonl",
 ]
@@ -68,16 +73,14 @@ TRACE_SCHEMA_VERSION = 1
 EVENT_KINDS = ("trace", "span_start", "span_end", "counter", "distribution")
 
 #: The span hierarchy emitted by the instrumented mechanism stack, outer to
-#: inner.  Other span names (``payments``, ``attack`` …) may appear; these
-#: four are the levels the smoke gate requires.
+#: inner.  Other span names (``payments``, ``attack`` …) may appear; the
+#: smoke gate requires these four plus the sorted engine's stage spans
+#: (:data:`repro.core.engine.STAGE_NAMES`).
 SPAN_LEVELS = ("run", "mechanism", "cra", "round")
 
-#: Legal values of a counter event's ``unit`` field.  ``"count"`` and
-#: ``"bytes"`` counters are exactly reproducible (bytes report
-#: deterministic memory footprints);
-#: ``"seconds"`` counters are measured time and excluded from the
-#: canonical stream.
-COUNTER_UNITS = ("count", "seconds", "bytes")
+#: Legal values of a counter event's ``unit`` field: counters count.
+#: Measured time is a span, so every counter value is reproducible.
+COUNTER_UNITS = ("count",)
 
 #: Legal values of a distribution event's ``unit`` field.  ``"ratio"``
 #: covers the per-epoch gauges (win rates, mean referral depth); the
@@ -95,8 +98,7 @@ def config_hash(config: Mapping[str, Any]) -> str:
 def canonical_events(events: Iterable[Mapping[str, Any]]) -> List[Dict[str, Any]]:
     """The reproducible view of an event stream.
 
-    Drops every ``t`` timestamp, the ``delta``/``value`` fields of
-    ``"seconds"``-unit counters, and the ``value``/``bucket`` fields of
+    Drops every ``t`` timestamp and the ``value``/``bucket`` fields of
     volatile ``distribution`` events (``vol`` flag, stamped at record
     time from the metric catalog's volatility contract).  Two runs with
     the same seed and configuration must agree on this view exactly.
@@ -104,15 +106,30 @@ def canonical_events(events: Iterable[Mapping[str, Any]]) -> List[Dict[str, Any]
     out: List[Dict[str, Any]] = []
     for event in events:
         reduced = {k: v for k, v in event.items() if k != "t"}
-        kind = event.get("ev")
-        if kind == "counter" and event.get("unit") == "seconds":
-            reduced.pop("delta", None)
-            reduced.pop("value", None)
-        elif kind == "distribution" and event.get("vol"):
+        if event.get("ev") == "distribution" and event.get("vol"):
             reduced.pop("value", None)
             reduced.pop("bucket", None)
         out.append(reduced)
     return out
+
+
+def span_seconds(events: Iterable[Mapping[str, Any]]) -> Dict[str, float]:
+    """Total duration of the stream's closed spans, by span name.
+
+    Spans with the same name add up wherever they sit in the tree (the
+    ``select`` spans of every CRA round of every type make one total).
+    """
+    started: Dict[Any, float] = {}
+    totals: Dict[str, float] = {}
+    for event in events:
+        kind = event.get("ev")
+        if kind == "span_start":
+            started[event["id"]] = event["t"]
+        elif kind == "span_end":
+            name = str(event["name"])
+            elapsed = event["t"] - started.pop(event["id"])
+            totals[name] = totals.get(name, 0.0) + elapsed
+    return totals
 
 
 def write_jsonl(events: Iterable[Mapping[str, Any]], path: str) -> None:

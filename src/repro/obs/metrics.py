@@ -29,7 +29,7 @@ Metric *kinds*:
 
 ``volatile=True`` marks metrics whose observed values are measured (wall
 time, scheduler-dependent queue depths): their values are stripped from
-the canonical trace stream exactly like ``"seconds"``-unit counters.
+the canonical trace stream exactly like the ``t`` timestamps.
 Non-volatile metrics (win rates, referral depths) are pure functions of
 the seeded run and stay in the canonical stream.
 

@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.catalog import describe_counter
+from repro.obs.catalog import COUNTER_CATALOG
 from repro.obs.metrics import Histogram, describe_metric
 
 __all__ = [
@@ -53,10 +53,10 @@ _UNIT_SUFFIXES = ("seconds", "bytes")
 def metric_family_name(name: str, unit: str, *, prefix: str = "rit_") -> str:
     """Canonical family name: prefixed, cleaned, unit-suffixed.
 
-    ``stage_seconds/sample`` with unit ``seconds`` becomes
-    ``rit_stage_seconds_sample_seconds`` — the suffix is appended exactly
-    when the cleaned name does not already end with it, so catalog names
-    that bake the unit in (``ingest_admit_seconds``) are not doubled.
+    ``sentinel/flagged_users`` becomes ``rit_sentinel_flagged_users``.  A
+    ``seconds``/``bytes`` suffix is appended exactly when the cleaned name
+    does not already end with it, so catalog names that bake the unit in
+    (``ingest_admit_seconds``) are not doubled.
     """
     cleaned = "".join(c if c.isalnum() else "_" for c in name)
     family = f"{prefix}{cleaned}"
@@ -95,17 +95,10 @@ def format_openmetrics(
     lines: List[str] = []
 
     for name, entry in (counters or {}).items():
-        unit = str(entry["unit"])
-        family = metric_family_name(name, unit)
-        spec = describe_counter(name)
-        help_text = spec[1] if spec is not None else name
-        kind = "counter" if unit in ("count", "bytes") else "gauge"
-        lines.append(f"# HELP {family} {help_text}")
-        lines.append(f"# TYPE {family} {kind}")
-        if unit in _UNIT_SUFFIXES:
-            lines.append(f"# UNIT {family} {unit}")
-        sample = f"{family}_total" if kind == "counter" else family
-        lines.append(f"{sample} {_format_value(entry['value'])}")
+        family = metric_family_name(name, "count")
+        lines.append(f"# HELP {family} {COUNTER_CATALOG.get(name, name)}")
+        lines.append(f"# TYPE {family} counter")
+        lines.append(f"{family}_total {_format_value(entry['value'])}")
 
     for name, hist in (histograms or {}).items():
         family = metric_family_name(name, hist.unit)

@@ -28,7 +28,7 @@ Design constraints:
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from repro.obs.events import (
     TRACE_SCHEMA_VERSION,
@@ -36,9 +36,11 @@ from repro.obs.events import (
     write_jsonl,
 )
 from repro.obs.metrics import bucket_boundaries, bucket_index, describe_metric
-from repro.obs.timers import Clock
 
-__all__ = ["NullTracer", "Tracer", "NULL_TRACER"]
+__all__ = ["Clock", "NullTracer", "Tracer", "NULL_TRACER"]
+
+#: A monotonic clock: zero-argument callable returning seconds as float.
+Clock = Callable[[], float]
 
 
 class _NullSpan:
@@ -101,7 +103,7 @@ class NullTracer:
     def end(self, span_id: int) -> None:
         pass
 
-    def count(self, name: str, delta: Any = 1, *, unit: str = "count") -> None:
+    def count(self, name: str, delta: int = 1) -> None:
         pass
 
     def observe(
@@ -156,8 +158,7 @@ class Tracer(NullTracer):
             self.clock = clock  # instance attr shadows the class default
         self._epoch = self.clock()
         self.events: List[Dict[str, Any]] = []
-        self._counters: Dict[str, Any] = {}
-        self._units: Dict[str, str] = {}
+        self._counters: Dict[str, int] = {}
         self._stack: List[int] = []
         self._span_names: Dict[int, str] = {}
         self._next_span = 0
@@ -243,22 +244,13 @@ class Tracer(NullTracer):
     # Counters
     # ------------------------------------------------------------------ #
 
-    def count(self, name: str, delta: Any = 1, *, unit: str = "count") -> None:
+    def count(self, name: str, delta: int = 1) -> None:
         """Increment a monotonic counter and record the event.
 
-        ``unit`` is fixed at first use; ``"count"`` and ``"bytes"`` deltas
-        should be ints (exactly reproducible), ``"seconds"`` deltas are
-        floats and are excluded from the canonical stream.
+        Counters count: ``delta`` is an int, so every value is exactly
+        reproducible.  Durations are spans, never counters.
         """
-        known = self._units.get(name)
-        if known is None:
-            self._units[name] = unit
-            self._counters[name] = 0.0 if unit == "seconds" else 0
-        elif known != unit:
-            raise ValueError(
-                f"counter {name!r} registered with unit {known!r}, got {unit!r}"
-            )
-        value = self._counters[name] + delta
+        value = self._counters.get(name, 0) + delta
         self._counters[name] = value
         self.events.append(
             {
@@ -266,7 +258,7 @@ class Tracer(NullTracer):
                 "ev": "counter",
                 "t": self._now(),
                 "name": name,
-                "unit": self._units[name],
+                "unit": "count",
                 "delta": delta,
                 "value": value,
                 "span": self._stack[-1] if self._stack else None,
@@ -311,8 +303,8 @@ class Tracer(NullTracer):
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Counter totals in first-increment order: name → {value, unit}."""
         return {
-            name: {"value": self._counters[name], "unit": self._units[name]}
-            for name in self._counters
+            name: {"value": value, "unit": "count"}
+            for name, value in self._counters.items()
         }
 
     # ------------------------------------------------------------------ #
@@ -365,17 +357,7 @@ class Tracer(NullTracer):
                 merged["id"] = id_map[int(merged["id"])]
             elif kind == "counter":
                 name = str(merged["name"])
-                unit = str(merged["unit"])
-                known = self._units.get(name)
-                if known is None:
-                    self._units[name] = unit
-                    self._counters[name] = 0.0 if unit == "seconds" else 0
-                elif known != unit:
-                    raise ValueError(
-                        f"counter {name!r} registered with unit {known!r}, "
-                        f"got {unit!r}"
-                    )
-                value = self._counters[name] + merged["delta"]
+                value = self._counters.get(name, 0) + merged["delta"]
                 self._counters[name] = value
                 merged["value"] = value
                 old_span = merged.get("span")

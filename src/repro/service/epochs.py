@@ -138,16 +138,16 @@ class BatchAccumulator:
 def epoch_seed(root_seed: int, epoch_index: int) -> np.random.SeedSequence:
     """The seed of epoch ``epoch_index`` under service root seed ``root_seed``.
 
-    A *fresh* ``SeedSequence(root_seed)`` is built on every call and the
-    child is selected by spawn position, so the result depends only on the
-    two integers — never on how many times any live SeedSequence object
-    has spawned before.  (``SeedSequence`` children are keyed by
-    ``(entropy, spawn_key)``; spawning from a reused object would advance
-    a hidden counter and silently change later epochs.)
+    The result is the ``epoch_index``-th child that
+    ``SeedSequence(root_seed).spawn`` would return, built directly from
+    its ``(entropy, spawn_key)`` in O(1).  It depends only on the two
+    integers — never on how many times any live SeedSequence object has
+    spawned before (spawning from a reused object would advance a hidden
+    counter and silently change later epochs).
     """
     if epoch_index < 0:
         raise ConfigurationError(f"epoch_index must be >= 0, got {epoch_index}")
-    return np.random.SeedSequence(root_seed).spawn(epoch_index + 1)[epoch_index]
+    return np.random.SeedSequence(root_seed, spawn_key=(epoch_index,))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ The per-epoch record stores :func:`canonical_outcome` — the
 *reproducible* projection of a :class:`~repro.core.outcome
 .MechanismOutcome`: allocation, auction payments, final payments,
 completion flag and round diagnostics.  Measured durations
-(``elapsed_*``, ``stage_timings``) are deliberately excluded, exactly as
-the trace layer excludes ``seconds``-unit counters from canonical event
-streams: ledger lines for the same seed and stream must be byte-stable
+(``elapsed_*``) are deliberately excluded, exactly as the trace layer
+excludes timestamps from canonical event streams: ledger lines for the same seed and stream must be byte-stable
 across machines, so drift between two service runs (or between a service
 run and the offline replay) is always a real behavioural difference.
 

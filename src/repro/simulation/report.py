@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.rng import SeedLike, as_generator, spawn
-from repro.obs.tracer import NullTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.simulation import experiments as exp
 from repro.simulation.plotting import render_result
 from repro.simulation.reporting import format_result
@@ -125,11 +125,11 @@ def generate_report(
     path:
         When given, the markdown is also written there.
     tracer:
-        Observability sink (see :mod:`repro.obs`).  Figure timings and
-        check tallies flow through its counters (``figures_rendered``,
-        ``shape_checks_passed``/``failed``, ``figure_seconds/<fig>``); by
-        default a private recording tracer is used just for the
-        bookkeeping the report itself prints.
+        Observability sink (see :mod:`repro.obs`); defaults to the no-op
+        tracer.  Each shared sweep runs in a ``sweep`` span and each other
+        figure in a ``figure`` span, and check tallies flow through its
+        counters (``figures_rendered``, ``shape_checks_passed``/``failed``).
+        The seconds the report prints are measured on its clock.
     """
     chosen = list(figures) if figures is not None else list(FIGURE_SHAPES)
     for fig in chosen:
@@ -137,9 +137,7 @@ def generate_report(
             raise KeyError(f"unknown figure {fig!r}; known: {sorted(FIGURE_SHAPES)}")
     resolved = exp.active_scale(scale)
     gen = as_generator(rng)
-    obs = tracer if tracer is not None else Tracer(
-        "report", config={"figures": chosen, "scale": resolved.name}
-    )
+    obs = tracer if tracer is not None else NULL_TRACER
     clock = obs.clock
 
     lines: List[str] = []
@@ -152,10 +150,10 @@ def generate_report(
     lines.append("")
 
     # Figures sharing a sweep are computed together (one sweep instead of
-    # three) — a 3x saving that matters at paper scale.  Per-figure
-    # timings and check tallies live in the tracer's counters, not in
-    # hand-rolled dicts.
+    # three) — a 3x saving that matters at paper scale; each member is
+    # charged an equal share of the sweep's seconds.
     precomputed: Dict[str, ExperimentResult] = {}
+    seconds: Dict[str, float] = {}
     for group_fn, members in (
         (exp.users_sweep_figures, ("fig6a", "fig7a", "fig8a")),
         (exp.tasks_sweep_figures, ("fig6b", "fig7b", "fig8b")),
@@ -163,12 +161,13 @@ def generate_report(
         wanted = [fig for fig in members if fig in chosen]
         if len(wanted) > 1:
             group_rng = spawn(gen, 1)[0]
-            start = clock()
-            group = group_fn(resolved, rng=group_rng)
-            elapsed = (clock() - start) / len(wanted)
+            with obs.span("sweep", figures=",".join(wanted)):
+                start = clock()
+                group = group_fn(resolved, rng=group_rng)
+                elapsed = (clock() - start) / len(wanted)
             for fig in wanted:
                 precomputed[fig] = group[fig]
-                obs.count(f"figure_seconds/{fig}", elapsed, unit="seconds")
+                seconds[fig] = elapsed
 
     all_checks: List[Tuple[str, ShapeCheck]] = []
     for fig in chosen:
@@ -180,11 +179,8 @@ def generate_report(
             with obs.span("figure", fig=fig):
                 start = clock()
                 result = fn(resolved, rng=fig_rng)
-                obs.count(
-                    f"figure_seconds/{fig}", clock() - start, unit="seconds"
-                )
+                seconds[fig] = clock() - start
         obs.count("figures_rendered")
-        elapsed = obs.value(f"figure_seconds/{fig}", 0.0)
         checks = checker(result)
         for check in checks:
             obs.count(
@@ -206,7 +202,7 @@ def generate_report(
         for check in checks:
             mark = "x" if check.passed else " "
             lines.append(f"- [{mark}] {check.description}")
-        lines.append(f"- regenerated in {elapsed:.1f}s")
+        lines.append(f"- regenerated in {seconds[fig]:.1f}s")
         lines.append("")
 
     if include_challenges:

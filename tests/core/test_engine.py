@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from repro.core.cra import cra
-from repro.core.engine import SortedTypePool, StageTimers, cra_presorted
+from repro.core.engine import SortedTypePool, cra_presorted
 from repro.core.exceptions import ConfigurationError, ModelError
+from repro.obs import Tracer
 
 
 def make_pool(values, capacities, uids=None):
@@ -232,15 +233,20 @@ class TestDifferential:
                 assert np.array_equal(pool.remaining, shadow)
                 q -= ref.num_winners
 
-    def test_stage_timers_accumulate(self):
-        timers = StageTimers()
-        pool = make_pool(
-            np.random.default_rng(0).uniform(0.1, 5.0, size=40),
-            np.full(40, 2),
+    def test_stage_spans_leave_the_result_unchanged(self):
+        values = np.random.default_rng(0).uniform(0.1, 5.0, size=40)
+        untraced = cra_presorted(
+            make_pool(values, np.full(40, 2)), 10, 10, np.random.default_rng(1)
         )
-        cra_presorted(pool, 10, 10, np.random.default_rng(1), timers=timers)
-        totals = timers.as_dict()
-        assert set(totals) == {"sample", "consensus", "select", "consume"}
-        assert totals["sample"] > 0.0
-        # consume is timed by the caller (RIT), not by cra_presorted.
-        assert totals["consume"] == 0.0
+        tracer = Tracer("stages")
+        traced = cra_presorted(
+            make_pool(values, np.full(40, 2)), 10, 10,
+            np.random.default_rng(1), tracer=tracer,
+        )
+        assert_results_equal(traced, untraced, context="traced")
+        assert traced.num_winners > 0
+        # consume is spanned by the caller (RIT), not by cra_presorted.
+        assert [
+            (e["name"], e["parent"]) for e in tracer.events
+            if e["ev"] == "span_start"
+        ] == [("sample", None), ("consensus", None), ("select", None)]

@@ -1,5 +1,7 @@
 """Tests for mechanism outcome containers and utility accounting."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.exceptions import ModelError
@@ -96,3 +98,27 @@ class TestVoid:
         out.void()
         assert out.completed
         assert out.total_payment == pytest.approx(10.5)
+
+
+class TestEquality:
+    def test_same_seed_runs_compare_equal(self):
+        # Elapsed seconds are measurements, not results: two runs of the
+        # same seed differ in them and must still compare equal.
+        from repro.core.rit import RIT
+        from repro.workloads.scenarios import paper_scenario
+        from repro.workloads.users import UserDistribution
+
+        job = Job.uniform(3, 5)
+        scenario = paper_scenario(
+            90, job, 3, distribution=UserDistribution(num_types=3)
+        )
+        mech = RIT(round_budget="until-complete")
+        first, second = (
+            mech.run(job, scenario.truthful_asks(), scenario.tree, 11)
+            for _ in range(2)
+        )
+        assert first.completed and first.payments
+        assert first == replace(second, elapsed_auction=-1.0, elapsed_total=-1.0)
+        uid = next(iter(second.payments))
+        repaid = {**second.payments, uid: second.payments[uid] + 1.0}
+        assert first != replace(second, payments=repaid)

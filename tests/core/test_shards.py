@@ -9,7 +9,6 @@ draw order (pinned separately by the golden tests).
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -24,8 +23,9 @@ from repro.core.rng import as_generator
 from repro.service.ledger import canonical_outcome
 from repro.workloads.scenarios import paper_scenario
 from repro.workloads.users import UserDistribution
+from repro.core.engine import STAGE_NAMES
 from repro.core.types import Job
-from repro.obs.timers import STAGE_NAMES
+from repro.obs import Tracer
 
 
 def scenario_inputs(seed=3, users=90, types=3, tasks_per_type=5):
@@ -161,50 +161,53 @@ class TestShardTasks:
 
 
 class TestStageSeconds:
-    def test_stage_timings_are_the_sum_of_shard_stage_seconds(self):
+    """Stage seconds are span durations: one span per stage per round."""
+
+    def test_every_round_span_holds_its_stages(self):
         job, asks, tree = scenario_inputs()
+        tracer = Tracer("stages")
         mech = RIT(
             engine="sorted",
             rng_policy="per-type",
             round_budget="until-complete",
+            tracer=tracer,
         )
-        shards = [
-            mech.run_type_shard(*task)
-            for task in sorted_tasks(mech, job, asks, 11)
-        ]
-        for shard in shards:
-            assert tuple(shard.stage_seconds) == STAGE_NAMES
-        outcome = mech.join_shards(job, asks, tree, shards)
-        assert tuple(outcome.stage_timings) == STAGE_NAMES
-        for stage in STAGE_NAMES:
-            assert outcome.stage_timings[stage] == sum(
-                (shard.stage_seconds[stage] for shard in shards), 0.0
+        outcome = mech.run(job, asks, tree, 11)
+        names = {}
+        children = {}
+        for e in tracer.events:
+            if e["ev"] == "span_start":
+                names[e["id"]] = e["name"]
+                children.setdefault(e["parent"], []).append(e["name"])
+        rounds = [sid for sid, name in names.items() if name == "round"]
+        assert len(rounds) == len(outcome.rounds)
+        for sid, record in zip(rounds, outcome.rounds):
+            stages = children.get(sid, [])
+            # Every round samples and updates capacity; consensus and
+            # select only run when the sample is non-empty and n_s > 0.
+            assert stages[0] == "sample" and stages[-1] == "consume"
+            assert stages in (
+                ["sample", "consume"],
+                ["sample", "consensus", "consume"],
+                list(STAGE_NAMES),
             )
-        assert tuple(mech.run(job, asks, tree, 11).stage_timings) == (
-            STAGE_NAMES
-        )
+            if record.num_winners:
+                assert stages == list(STAGE_NAMES)
+        stage_parents = {
+            names[parent]
+            for parent, kids in children.items()
+            for kid in kids
+            if kid in STAGE_NAMES
+        }
+        assert stage_parents == {"round"}
 
     def test_reference_engine_reports_no_stages(self):
         job, asks, tree = scenario_inputs()
-        mech = RIT(engine="reference", rng_policy="per-type")
-        shards = [
+        tracer = Tracer("reference")
+        mech = RIT(engine="reference", rng_policy="per-type", tracer=tracer)
+        for task in sorted_tasks(mech, job, asks, 11):
             mech.run_type_shard(*task)
-            for task in sorted_tasks(mech, job, asks, 11)
-        ]
-        assert all(shard.stage_seconds == {} for shard in shards)
-        assert mech.run(job, asks, tree, 11).stage_timings == {}
-
-    def test_shard_equality_ignores_stage_seconds(self):
-        job, asks, _ = scenario_inputs()
-        mech = RIT(rng_policy="per-type", round_budget="until-complete")
-        first, second = (
-            mech.run_type_shard(*sorted_tasks(mech, job, asks, 11)[0])
-            for _ in range(2)
-        )
-        assert first.stage_seconds != {}
-        retimed = replace(
-            second,
-            stage_seconds={stage: -1.0 for stage in second.stage_seconds},
-        )
-        assert first == retimed
-        assert first != replace(retimed, covered=not retimed.covered)
+        mech.run(job, asks, tree, 11)
+        names = {e["name"] for e in tracer.events if e["ev"] == "span_start"}
+        assert "round" in names
+        assert not names & set(STAGE_NAMES)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core.engine import STAGE_NAMES
 from repro.core.exceptions import ConfigurationError
 from repro.devtools.bench import (
     BENCH_SCHEMA_VERSION,
@@ -17,6 +18,7 @@ from repro.devtools.bench import (
     validate_bench_schema,
     write_bench,
 )
+from repro.obs import span_seconds
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 COMMITTED_BENCH = REPO_ROOT / "BENCH_RIT.json"
@@ -43,6 +45,31 @@ class TestRunScalingBench:
         }
         # The reference engine reports no stage breakdown.
         assert doc["engines"]["reference"]["stages"] == {}
+
+    def test_stages_are_span_totals_of_traced_reps(self, monkeypatch):
+        import repro.devtools.bench as bench
+
+        totals = []
+
+        def recording(events):
+            totals.append(span_seconds(events))
+            return totals[-1]
+
+        monkeypatch.setattr(bench, "span_seconds", recording)
+        doc = run_scaling_bench(**TINY, engines=("sorted",))
+        assert len(totals) == TINY["reps"]
+        stages = doc["engines"]["sorted"]["stages"]
+        for stage in STAGE_NAMES:
+            samples = [total[stage] for total in totals]
+            assert stages[stage]["min"] == min(samples) > 0.0
+            assert stages[stage]["p50"] > 0.0
+
+    def test_non_positive_stage_p50_flagged(self):
+        doc = run_scaling_bench(**TINY, engines=("sorted",))
+        doc["engines"]["sorted"]["stages"]["select"]["p50"] = 0.0
+        assert any(
+            "stages.select.p50" in e for e in validate_bench_schema(doc)
+        )
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ConfigurationError):

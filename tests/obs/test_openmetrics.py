@@ -25,8 +25,11 @@ class TestFamilyName:
     def test_prefix_and_cleaning(self):
         assert metric_family_name("cra_rounds", "count") == "rit_cra_rounds"
         assert (
-            metric_family_name("stage_seconds/sample", "seconds")
-            == "rit_stage_seconds_sample_seconds"
+            metric_family_name("sentinel/reputation_mean", "ratio")
+            == "rit_sentinel_reputation_mean"
+        )
+        assert (
+            metric_family_name("shard/run", "seconds") == "rit_shard_run_seconds"
         )
 
     def test_unit_suffix_not_doubled(self):
@@ -34,10 +37,7 @@ class TestFamilyName:
             metric_family_name("ingest_admit_seconds", "seconds")
             == "rit_ingest_admit_seconds"
         )
-        assert (
-            metric_family_name("payload_bytes", "bytes")
-            == "rit_payload_bytes"
-        )
+        assert metric_family_name("ledger_bytes", "bytes") == "rit_ledger_bytes"
 
     def test_non_suffix_units_untouched(self):
         assert metric_family_name("win_rate/depth1", "ratio") == "rit_win_rate_depth1"
@@ -52,14 +52,6 @@ class TestFormat:
         assert "# TYPE rit_cra_rounds counter" in text
         assert "rit_cra_rounds_total 7" in text
         assert text.rstrip().endswith("# EOF")
-
-    def test_seconds_counters_exposed_as_gauges_with_unit(self):
-        text = format_openmetrics(
-            counters={"stage_seconds/sample": {"value": 0.5, "unit": "seconds"}}
-        )
-        assert "# TYPE rit_stage_seconds_sample_seconds gauge" in text
-        assert "# UNIT rit_stage_seconds_sample_seconds seconds" in text
-        assert "rit_stage_seconds_sample_seconds 0.5" in text
 
     def test_histogram_buckets_are_cumulative_with_inf(self):
         text = format_openmetrics(histograms=sample_histograms())
@@ -82,11 +74,11 @@ class TestFormat:
         assert "# TYPE rit_win_rate_depth1 gauge" in text
         assert "rit_win_rate_depth1 0.25" in text
 
-    def test_full_export_round_trips(self, bytes_counter):
+    def test_full_export_round_trips(self):
         text = format_openmetrics(
             counters={
                 "service_epochs_closed": {"value": 3, "unit": "count"},
-                bytes_counter: {"value": 4096, "unit": "bytes"},
+                "service_shards_run": {"value": 9, "unit": "count"},
             },
             histograms=sample_histograms(),
             gauges={
@@ -97,7 +89,7 @@ class TestFormat:
         families = parse_openmetrics(text)
         assert set(families) == {
             "rit_service_epochs_closed",
-            "rit_payload_bytes",
+            "rit_service_shards_run",
             "rit_shard_run_seconds",
             "rit_ingest_queue_depth",
             "rit_referral_depth_max",

@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from repro.core.engine import STAGE_NAMES
 from repro.core.rit import RIT
 from repro.core.types import Job
 from repro.devtools.trace_schema import (
@@ -46,14 +47,6 @@ class TestValidStreams:
         with tracer.run_span():
             with tracer.span("mechanism"):
                 tracer.count("cra_rounds")
-        assert validate_trace_events(tracer.events) == []
-
-    def test_cataloged_bytes_counter_is_valid(self, bytes_counter):
-        tracer = Tracer("b", seed=0, config={})
-        with tracer.run_span():
-            with tracer.span("mechanism"):
-                tracer.count(bytes_counter, 1_024, unit="bytes")
-                tracer.count(bytes_counter, 2_048, unit="bytes")
         assert validate_trace_events(tracer.events) == []
 
     def test_file_roundtrip_is_valid(self, events, tmp_path):
@@ -128,34 +121,26 @@ class TestCorruptions:
 
     def test_inconsistent_running_value(self, events):
         def mutate(ev):
-            counters = [
-                e for e in ev if e["ev"] == "counter" and e["unit"] == "count"
-            ]
+            counters = [e for e in ev if e["ev"] == "counter"]
             counters[0]["value"] = counters[0]["value"] + 7
 
         assert any("running" in p for p in self._mutated(events, mutate))
 
-    def _bytes_stream(self, name):
-        tracer = Tracer("b", seed=0, config={})
-        with tracer.run_span():
-            with tracer.span("mechanism"):
-                tracer.count(name, 512, unit="bytes")
-        return [copy.deepcopy(e) for e in tracer.events]
+    def test_float_counter_delta_flagged(self, events):
+        def mutate(ev):
+            counter = [e for e in ev if e["ev"] == "counter"][0]
+            counter["delta"] = float(counter["delta"])
+            counter["value"] = float(counter["value"])
 
-    def test_float_bytes_delta_flagged(self, bytes_counter):
-        events = self._bytes_stream(bytes_counter)
-        target = [e for e in events if e.get("name") == bytes_counter][0]
-        target["delta"] = 512.0
-        target["value"] = 512.0
-        assert any(
-            "must be ints" in p for p in validate_trace_events(events)
-        )
+        assert any("must be ints" in p for p in self._mutated(events, mutate))
 
-    def test_bytes_running_value_checked(self, bytes_counter):
-        events = self._bytes_stream(bytes_counter)
-        target = [e for e in events if e.get("name") == bytes_counter][0]
-        target["value"] = target["value"] + 7
-        assert any("running" in p for p in validate_trace_events(events))
+    @pytest.mark.parametrize("unit", ["seconds", "bytes"])
+    def test_non_count_counter_unit_flagged(self, events, unit):
+        # Counters count; a duration or a footprint is not a counter.
+        def mutate(ev):
+            [e for e in ev if e["ev"] == "counter"][0]["unit"] = unit
+
+        assert any("counter unit" in p for p in self._mutated(events, mutate))
 
     def test_negative_merge_tag(self, events):
         def mutate(ev):
@@ -172,6 +157,22 @@ class TestCoverage:
             name for name, unit in seen["counters"].items() if unit == "count"
         ]
         assert len(count_units) >= 6
+
+    @pytest.mark.parametrize("stage", STAGE_NAMES)
+    def test_gate_fails_without_a_stage_span(self, events, stage):
+        dropped = {
+            e["id"] for e in events
+            if e["ev"] == "span_start" and e["name"] == stage
+        }
+        kept = [
+            copy.deepcopy(e) for e in events
+            if not (e["ev"] in ("span_start", "span_end") and e["id"] in dropped)
+        ]
+        for k, e in enumerate(kept):
+            e["i"] = k
+        assert validate_trace_events(kept) == []
+        problems = check_coverage(kept)
+        assert problems == [f"missing required span levels: {[stage]}"]
 
     def test_gate_fails_without_round_spans(self):
         tracer = Tracer("tiny", seed=1, config={})

@@ -1,5 +1,7 @@
 """Unit tests for the tracer, the event model, and the counter catalog."""
 
+import inspect
+
 import pytest
 
 from repro.obs import (
@@ -11,8 +13,8 @@ from repro.obs import (
     Tracer,
     canonical_events,
     config_hash,
-    describe_counter,
     read_jsonl,
+    span_seconds,
 )
 
 
@@ -97,29 +99,18 @@ class TestCounters:
             if e["ev"] == "counter" and e["name"] == "cra_rounds"
         ]
         assert values == [1, 3]
+        assert all(isinstance(v, int) for v in values)
 
     def test_unit_is_fixed_at_first_use(self):
+        # Counters count: the unit is "count" from the first event on, and
+        # there is no way to register another one.
+        for cls in (NullTracer, Tracer):
+            assert "unit" not in inspect.signature(cls.count).parameters
         tracer = Tracer("run")
-        tracer.count("stage_seconds/sample", 0.5, unit="seconds")
-        with pytest.raises(ValueError):
-            tracer.count("stage_seconds/sample", 1)
-
-    def test_bytes_counters_keep_integer_totals(self, bytes_counter):
-        tracer = Tracer("run")
-        tracer.count(bytes_counter, 1_024, unit="bytes")
-        tracer.count(bytes_counter, 2_048, unit="bytes")
-        total = tracer.value(bytes_counter)
-        assert total == 3_072
-        assert isinstance(total, int) and not isinstance(total, bool)
-        snap = tracer.snapshot()
-        assert snap[bytes_counter] == {
-            "value": 3_072,
-            "unit": "bytes",
+        tracer.count("cra_rounds")
+        assert {e["unit"] for e in tracer.events if e["ev"] == "counter"} == {
+            "count"
         }
-        for event in tracer.events:
-            if event["ev"] == "counter":
-                assert isinstance(event["value"], int)
-                assert isinstance(event["delta"], int)
 
     def test_owning_span_recorded(self):
         tracer = Tracer("run")
@@ -132,26 +123,27 @@ class TestCounters:
 class TestCanonicalAndRoundtrip:
     def test_canonical_strips_time_and_measured_durations(self):
         tracer = Tracer("run")
-        tracer.count("cra_rounds")
-        tracer.count("stage_seconds/sample", 0.25, unit="seconds")
+        with tracer.span("shard"):
+            tracer.count("cra_rounds")
+            tracer.observe("shard_run_seconds", 0.25)
         canon = canonical_events(tracer.events)
         assert all("t" not in e for e in canon)
         count = [e for e in canon if e.get("name") == "cra_rounds"][0]
-        seconds = [e for e in canon if e.get("name") == "stage_seconds/sample"][0]
-        assert count["value"] == 1
-        assert "value" not in seconds and "delta" not in seconds
+        seconds = [e for e in canon if e.get("name") == "shard_run_seconds"][0]
+        assert count["value"] == 1 and count["delta"] == 1
+        assert "value" not in seconds and "bucket" not in seconds
         assert seconds["unit"] == "seconds"
 
-    def test_bytes_counters_survive_canonicalization(self, bytes_counter):
-        # Byte footprints are deterministic (pure array sizes), so the
-        # canonical differential stream keeps them — unlike seconds.
-        tracer = Tracer("run")
-        tracer.count(bytes_counter, 4_096, unit="bytes")
-        canon = canonical_events(tracer.events)
-        event = [e for e in canon if e.get("name") == bytes_counter][0]
-        assert event["value"] == 4_096
-        assert event["delta"] == 4_096
-        assert event["unit"] == "bytes"
+    def test_span_seconds_totals_durations_by_name(self):
+        # Header, then round [1, 4] holding select [1.5, 2], then round
+        # [5, 6] holding select [5.25, 5.5].
+        ticks = iter([0.0, 1.0, 1.5, 2.0, 4.0, 5.0, 5.25, 5.5, 6.0])
+        tracer = Tracer("run", clock=lambda: next(ticks))
+        for _ in range(2):
+            with tracer.span("round"):
+                with tracer.span("select"):
+                    pass
+        assert span_seconds(tracer.events) == {"select": 0.75, "round": 4.0}
 
     def test_jsonl_roundtrip(self, tmp_path):
         tracer = Tracer("run", seed=1, config={"k": [1, 2]})
@@ -214,12 +206,7 @@ class TestCatalog:
     def test_span_levels_are_the_documented_hierarchy(self):
         assert SPAN_LEVELS == ("run", "mechanism", "cra", "round")
 
-    def test_catalog_entries_are_unit_description_pairs(self):
-        for name, (unit, description) in COUNTER_CATALOG.items():
-            assert unit in ("count", "seconds", "bytes"), name
-            assert description, name
-
-    def test_family_lookup(self):
-        assert describe_counter("figure_seconds/fig6a") is not None
-        assert describe_counter("stage_seconds/sample") is not None
-        assert describe_counter("not_a_counter") is None
+    def test_catalog_entries_are_descriptions(self):
+        for name, description in COUNTER_CATALOG.items():
+            assert isinstance(description, str) and description, name
+            assert "seconds" not in name and "bytes" not in name, name

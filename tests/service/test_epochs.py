@@ -91,6 +91,20 @@ class TestEpochSeed:
         with pytest.raises(ConfigurationError):
             epoch_seed(7, -1)
 
+    @pytest.mark.parametrize("root", [0, 1, 7, 123456789, 2**40])
+    def test_equals_the_spawned_child(self, root):
+        # The O(1) direct construction is bit-identical to the
+        # epoch_index-th child of SeedSequence(root).spawn(...).
+        for index in (0, 1, 2, 5, 63, 64, 1000):
+            child = np.random.SeedSequence(root).spawn(index + 1)[index]
+            seed = epoch_seed(root, index)
+            assert seed.entropy == child.entropy
+            assert seed.spawn_key == child.spawn_key
+            assert seed.n_children_spawned == child.n_children_spawned
+            assert (seed.generate_state(8) == child.generate_state(8)).all()
+            grandchild = seed.spawn(2)[1].generate_state(4)
+            assert (grandchild == child.spawn(2)[1].generate_state(4)).all()
+
 
 class TestEpochPipeline:
     def test_snapshot_carries_cumulative_state_not_just_batch(self):

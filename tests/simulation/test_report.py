@@ -1,7 +1,10 @@
 """Tests for the one-command reproduction report."""
 
+import itertools
+
 import pytest
 
+from repro.obs import NullTracer, Tracer
 from repro.simulation.experiments import SMOKE_SCALE
 from repro.simulation.report import FIGURE_SHAPES, ShapeCheck, generate_report
 
@@ -43,6 +46,31 @@ class TestGenerateReport:
             include_challenges=False, path=path,
         )
         assert path.read_text() == text
+
+    def test_regenerated_seconds_are_measured_on_the_clock(self):
+        # A no-op sink records nothing, yet the printed time is the one
+        # its clock measured (each read advances 2.5 s).
+        tracer = NullTracer()
+        tracer.clock = itertools.count(0.0, 2.5).__next__
+        text = generate_report(
+            scale=SMOKE_SCALE, figures=["fig9"], rng=5, charts=False,
+            include_challenges=False, tracer=tracer,
+        )
+        assert "- regenerated in 2.5s" in text
+
+    def test_shared_sweep_runs_in_one_span(self):
+        tracer = Tracer("report", clock=itertools.count(0.0, 3.0).__next__)
+        text = generate_report(
+            scale=SMOKE_SCALE, figures=["fig6b", "fig7b"], rng=5,
+            charts=False, include_challenges=False, tracer=tracer,
+        )
+        spans = [e for e in tracer.events if e["ev"] == "span_start"]
+        assert [(s["name"], s.get("attrs")) for s in spans] == [
+            ("sweep", {"figures": "fig6b,fig7b"})
+        ]
+        # The sweep's two clock reads are 3 s apart; each member is
+        # charged half.
+        assert text.count("- regenerated in 1.5s") == 2
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(KeyError):
